@@ -227,6 +227,19 @@ class Aaf:
     def ids(self) -> tuple[str, ...]:
         return tuple(a.id for a in self.arguments)
 
+    @cached_property
+    def index(self) -> Mapping[str, int]:
+        """Position of each argument id in argument order."""
+        return {arg_id: i for i, arg_id in enumerate(self.ids)}
+
+    @cached_property
+    def attackers_of(self) -> Mapping[str, tuple[str, ...]]:
+        """Each argument's attackers, listed in argument order."""
+        attackers: dict[str, list[str]] = {arg_id: [] for arg_id in self.ids}
+        for src, dst in self.attacks:
+            attackers[dst].append(src)
+        return {arg_id: tuple(sorted(lst, key=self.index.__getitem__)) for arg_id, lst in attackers.items()}
+
     def argument(self, argument_id: str) -> Argument:
         return self.by_id[argument_id]
 
@@ -235,11 +248,14 @@ def to_aaf(arguments: Sequence[Argument], attacks: Iterable[tuple[str, str]]) ->
     return Aaf(tuple(arguments), frozenset(attacks))
 
 
+def ordered_premises(premises: Iterable[str], premise_order: Mapping[str, int] | None = None) -> list[str]:
+    """Display order: by position in premise_order, unlisted sentences last,
+    ties by name."""
+    order = premise_order or {}
+    return sorted(premises, key=lambda s: (order.get(s, len(order)), s))
+
+
 def render_argument(argument: Argument, premise_order: Mapping[str, int] | None = None) -> str:
     """Display form '{p1, p2} ⊢ conclusion' with premises canonically ordered."""
-    if premise_order is None:
-        prems = sorted(argument.premises)
-    else:
-        prems = sorted(argument.premises, key=lambda s: (premise_order.get(s, len(premise_order)), s))
-    inner = ", ".join(prems)
+    inner = ", ".join(ordered_premises(argument.premises, premise_order))
     return f"{{{inner}}} ⊢ {argument.conclusion}"

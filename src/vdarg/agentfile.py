@@ -36,7 +36,7 @@ def load_agent(path: str | Path) -> VdaAgent:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise AgentFileError(f"{path}: {exc}") from exc
     return parse_agent(text, source=str(path))
 

@@ -1,6 +1,8 @@
 """Command-line front end: solve | justify | explain | epistemic.
 
-All reports are byte-deterministic for identical inputs and flags.  Exit
+Each report is built once, as the payload that --format json prints; the
+text and --dot forms are rendered from that payload alone.  All reports are
+byte-deterministic for identical inputs and flags.  Exit
 codes: 0 success, 1 domain outcome (indeterminate situation, empty solution
 set), 2 usage or file errors.
 """
@@ -13,69 +15,70 @@ import sys
 from dataclasses import asdict
 
 from . import core
-from .aba import Aaf, render_argument
+from .aba import Aaf, ordered_premises
 from .agentfile import load_agent
-from .core import VdaAgent
-from .errors import (
-    AgentFileError,
-    IndeterminateSituationError,
-    ResourceCapError,
-    SchemaError,
-    SelfComparisonError,
-    UnknownNameError,
-    VdaError,
-)
+from .core import EpistemicSpec
+from .errors import IndeterminateSituationError, SchemaError, VdaError
 from .explain import explain_action, explain_situation
 from .frameworks import (
     EpistemicResult,
     PracticalResult,
     analyze_epistemic,
     analyze_practical,
+    assumption_arguments,
     epistemic_framework,
+    evaluate,
 )
 from .oracle import RandomVdaSpec, brute_force_extensions, brute_force_solutions, random_aaf, random_vda
-from .semantics import SEMANTICS, AcceptanceReport, acceptance_status, extensions_for
-from .aba import compute_attacks, derive_arguments, to_aaf
-
-_PRINTABLE_SEMANTICS = sorted(SEMANTICS)
+from .semantics import SEMANTICS, AcceptanceReport, extensions_for
 
 
-def _argument_lines(aaf: Aaf, order) -> list[str]:
-    return [f"  {arg.id}: {render_argument(arg, order)}" for arg in aaf.arguments]
+def _graph_payload(aaf: Aaf, report: AcceptanceReport) -> dict:
+    index = aaf.index
+    return {
+        "attacks": [list(p) for p in sorted(aaf.attacks, key=lambda p: (index[p[0]], index[p[1]]))],
+        "extensions": [sorted(ext.members, key=index.__getitem__) for ext in report.extensions],
+    }
 
 
-def _attack_lines(aaf: Aaf) -> list[str]:
-    index = {arg_id: i for i, arg_id in enumerate(aaf.ids)}
-    pairs = sorted(aaf.attacks, key=lambda p: (index[p[0]], index[p[1]]))
-    return [f"  {src} → {dst}" for src, dst in pairs]
+def _epistemic_arguments(aaf: Aaf, order) -> list[dict]:
+    return [
+        {"id": arg.id, "premises": ordered_premises(arg.premises, order), "conclusion": arg.conclusion}
+        for arg in aaf.arguments
+    ]
 
 
-def _extension_lines(report: AcceptanceReport, aaf: Aaf) -> list[str]:
-    index = {arg_id: i for i, arg_id in enumerate(aaf.ids)}
-    lines = []
-    for label, ext in report.labelled():
-        members = ", ".join(sorted(ext.members, key=index.__getitem__))
-        lines.append(f"  {label}: {{{members}}}")
+def _argument_text(arg: dict) -> str:
+    return f"{{{', '.join(arg['premises'])}}} ⊢ {arg['conclusion']}"
+
+
+def _rule_lines(payload: dict) -> list[str]:
+    lines = ["rules:"]
+    for rule in payload["rules"]:
+        body = ", ".join(rule["body"])
+        lines.append(f"  {rule['id']}: {rule['head']} ← {body}")
     return lines
 
 
-def _sorted_attack_list(aaf: Aaf) -> list[list[str]]:
-    index = {arg_id: i for i, arg_id in enumerate(aaf.ids)}
-    return [list(p) for p in sorted(aaf.attacks, key=lambda p: (index[p[0]], index[p[1]]))]
+def _graph_lines(payload: dict) -> list[str]:
+    lines = ["arguments:"]
+    lines.extend(f"  {arg['id']}: {_argument_text(arg)}" for arg in payload["arguments"])
+    lines.append("attacks:")
+    lines.extend(f"  {src} → {dst}" for src, dst in payload["attacks"])
+    lines.append("extensions:")
+    for i, members in enumerate(payload["extensions"]):
+        lines.append(f"  E{i + 1}: {{{', '.join(members)}}}")
+    if payload["diagnostic"]:
+        lines.append(f"diagnostic: {payload['diagnostic']}")
+    return lines
 
 
-def _extensions_list(report: AcceptanceReport, aaf: Aaf) -> list[list[str]]:
-    index = {arg_id: i for i, arg_id in enumerate(aaf.ids)}
-    return [sorted(ext.members, key=index.__getitem__) for ext in report.extensions]
-
-
-def _dot(aaf: Aaf, order) -> str:
+def _dot(payload: dict) -> str:
     lines = ["digraph aaf {", "  rankdir=LR;"]
-    for arg in aaf.arguments:
-        label = f"{arg.id}: {render_argument(arg, order)}"
-        lines.append(f'  {arg.id} [label="{label}"];')
-    index = {arg_id: i for i, arg_id in enumerate(aaf.ids)}
-    for src, dst in sorted(aaf.attacks, key=lambda p: (index[p[0]], index[p[1]])):
+    for arg in payload["arguments"]:
+        label = f"{arg['id']}: {_argument_text(arg)}"
+        lines.append(f'  {arg["id"]} [label="{label}"];')
+    for src, dst in payload["attacks"]:
         lines.append(f"  {src} -> {dst};")
     lines.append("}")
     return "\n".join(lines)
@@ -85,83 +88,56 @@ def _emit(text: str) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _load(path: str) -> VdaAgent:
-    return load_agent(path)
-
-
-def cmd_solve(args: argparse.Namespace) -> int:
-    agent = _load(args.file)
-    report = core.solution_report(agent, args.situation)
-    actions = agent.language.actions
-    solutions = [a for a in actions if a in report.actions]
-    ordering = core.ethical_ordering(agent, args.situation)
-
-    if args.format == "json":
-        payload = {
-            "situation": args.situation,
-            "solutions": solutions,
-            "cycle": list(report.cycle) if report.cycle else None,
-            "ordering": [
-                {"action": step.action, "disjuncts_to_next": list(step.to_next)}
-                for step in ordering.steps
-            ],
-            "stuck": list(ordering.stuck) if ordering.stuck else None,
-        }
+def _emit_report(payload: dict, fmt: str, render_text) -> None:
+    """Print a report's payload as JSON, or its text form rendered from it."""
+    if fmt == "json":
         _emit(json.dumps(payload, indent=2, ensure_ascii=False))
-        return 0 if solutions else 1
+    else:
+        _emit(render_text(payload))
 
-    lines = [f"situation: {args.situation}"]
+
+def _solve_text(payload: dict) -> str:
+    lines = [f"situation: {payload['situation']}"]
+    solutions = payload["solutions"]
     lines.append("solutions: " + (", ".join(solutions) if solutions else "(none)"))
-    if report.cycle:
-        lines.append("strict-preference cycle: " + " → ".join(report.cycle + (report.cycle[0],)))
-    if ordering.steps:
+    cycle = payload["cycle"]
+    if cycle:
+        lines.append("strict-preference cycle: " + " → ".join(cycle + cycle[:1]))
+    steps = payload["ordering"]
+    if steps:
         chain = []
-        for i, step in enumerate(ordering.steps):
-            chain.append(step.action)
-            if i + 1 < len(ordering.steps):
-                chain.append(f"≥[{', '.join(step.to_next)}]")
+        for i, step in enumerate(steps):
+            chain.append(step["action"])
+            if i + 1 < len(steps):
+                chain.append(f"≥[{', '.join(step['disjuncts_to_next'])}]")
         lines.append("ordering: " + " ".join(chain))
-    if ordering.stuck:
-        lines.append("ordering stuck at: " + ", ".join(ordering.stuck))
-    _emit("\n".join(lines))
-    return 0 if solutions else 1
-
-
-def _rule_lines(framework, rule_info) -> list[str]:
-    lines = []
-    for rule in framework.rules:
-        body = ", ".join(rule.body)
-        lines.append(f"  {rule.id}: {rule.head} ← {body}")
-    return lines
-
-
-def _practical_report_text(result: PracticalResult) -> str:
-    build = result.build
-    agent = build.agent
-    lines = [f"situation: {build.situation_id}", f"semantics: {result.semantics}"]
-    lines.append("rules:")
-    lines.extend(_rule_lines(build.framework, build.rule_info))
-    lines.append("arguments:")
-    lines.extend(_argument_lines(result.aaf, build.display_order))
-    lines.append("attacks:")
-    lines.extend(_attack_lines(result.aaf))
-    lines.append("extensions:")
-    lines.extend(_extension_lines(result.report, result.aaf))
-    if result.report.diagnostic:
-        lines.append(f"diagnostic: {result.report.diagnostic}")
-    lines.append("action status:")
-    for action in agent.language.actions:
-        lines.append(f"  {action}: {result.action_status[action]}")
-    justified = [a for a in agent.language.actions if a in result.justified_actions]
-    credulous = [a for a in agent.language.actions if a in result.credulous_actions]
-    lines.append("skeptically justified actions: " + (", ".join(justified) or "(none)"))
-    lines.append("credulously accepted actions: " + (", ".join(credulous) or "(none)"))
+    if payload["stuck"]:
+        lines.append("ordering stuck at: " + ", ".join(payload["stuck"]))
     return "\n".join(lines)
 
 
-def _practical_report_json(result: PracticalResult) -> dict:
+def cmd_solve(args: argparse.Namespace) -> int:
+    agent = load_agent(args.file)
+    report = core.solution_report(agent, args.situation)
+    ordering = core.ethical_ordering(agent, args.situation)
+    payload = {
+        "situation": args.situation,
+        "solutions": [a for a in agent.language.actions if a in report.actions],
+        "cycle": list(report.cycle) if report.cycle else None,
+        "ordering": [
+            {"action": step.action, "disjuncts_to_next": list(step.to_next)}
+            for step in ordering.steps
+        ],
+        "stuck": list(ordering.stuck) if ordering.stuck else None,
+    }
+    _emit_report(payload, args.format, _solve_text)
+    return 0 if payload["solutions"] else 1
+
+
+def _practical_payload(result: PracticalResult) -> dict:
     build = result.build
-    agent = build.agent
+    actions = build.agent.language.actions
+    order = build.display_order
     return {
         "situation": build.situation_id,
         "semantics": result.semantics,
@@ -177,14 +153,13 @@ def _practical_report_json(result: PracticalResult) -> dict:
         "arguments": [
             {
                 "id": arg.id,
-                "premises": sorted(arg.premises, key=lambda s: build.display_order.get(s, 0)),
-                "support": sorted(arg.support, key=lambda s: build.display_order.get(s, 0)),
+                "premises": ordered_premises(arg.premises, order),
+                "support": ordered_premises(arg.support, order),
                 "conclusion": arg.conclusion,
             }
             for arg in result.aaf.arguments
         ],
-        "attacks": _sorted_attack_list(result.aaf),
-        "extensions": _extensions_list(result.report, result.aaf),
+        **_graph_payload(result.aaf, result.report),
         "statuses": {
             arg_id: {
                 "status": st.status,
@@ -194,87 +169,75 @@ def _practical_report_json(result: PracticalResult) -> dict:
             for arg_id, st in result.report.statuses.items()
         },
         "diagnostic": result.report.diagnostic,
-        "actions": {a: result.action_status[a] for a in agent.language.actions},
-        "justified": [a for a in agent.language.actions if a in result.justified_actions],
-        "credulous": [a for a in agent.language.actions if a in result.credulous_actions],
-        "solutions": [a for a in agent.language.actions if a in result.solutions],
+        "actions": {a: result.action_status[a] for a in actions},
+        "justified": [a for a in actions if a in result.justified_actions],
+        "credulous": [a for a in actions if a in result.credulous_actions],
+        "solutions": [a for a in actions if a in result.solutions],
     }
+
+
+def _practical_text(payload: dict) -> str:
+    lines = [f"situation: {payload['situation']}", f"semantics: {payload['semantics']}"]
+    lines.extend(_rule_lines(payload))
+    lines.extend(_graph_lines(payload))
+    lines.append("action status:")
+    for action, status in payload["actions"].items():
+        lines.append(f"  {action}: {status}")
+    lines.append("skeptically justified actions: " + (", ".join(payload["justified"]) or "(none)"))
+    lines.append("credulously accepted actions: " + (", ".join(payload["credulous"]) or "(none)"))
+    return "\n".join(lines)
+
+
+def _epistemic_framework_payload(spec: EpistemicSpec, semantics: str) -> dict:
+    """The epistemic framework on its own, with no perception facts added."""
+    build = epistemic_framework(spec, extra_facts=())
+    aaf, report = evaluate(build.framework, "Y", build.relevant, semantics)
+    return {
+        "framework": "epistemic",
+        "semantics": semantics,
+        "rules": [
+            {"id": r.id, "head": r.head, "body": list(r.body)}
+            for r in build.framework.rules
+        ],
+        "arguments": _epistemic_arguments(aaf, build.display_order),
+        **_graph_payload(aaf, report),
+        "diagnostic": report.diagnostic,
+        "assumptions": {
+            str(lit): report.statuses[arg.id].status
+            for lit, arg in zip(spec.assumptions, assumption_arguments(aaf))
+        },
+    }
+
+
+def _epistemic_framework_text(payload: dict) -> str:
+    lines = [f"framework: {payload['framework']}", f"semantics: {payload['semantics']}"]
+    lines.extend(_rule_lines(payload))
+    lines.extend(_graph_lines(payload))
+    lines.append("assumption status:")
+    for literal, status in payload["assumptions"].items():
+        lines.append(f"  {literal}: {status}")
+    return "\n".join(lines)
 
 
 def cmd_justify(args: argparse.Namespace) -> int:
-    agent = _load(args.file)
+    agent = load_agent(args.file)
     if args.situation is not None:
-        result = analyze_practical(agent, args.situation, args.semantics)
-        if args.dot:
-            _emit(_dot(result.aaf, result.build.display_order))
-            return 0
-        if args.format == "json":
-            _emit(json.dumps(_practical_report_json(result), indent=2, ensure_ascii=False))
-            return 0
-        _emit(_practical_report_text(result))
-        return 0
-
-    # Without a situation, justify the epistemic framework on its own.
-    if agent.epistemic is None or not agent.epistemic.assumptions:
-        raise SchemaError("no situation given and the file has no epistemic section")
-    build = epistemic_framework(agent.epistemic, extra_facts=())
-    arguments = derive_arguments(build.framework, label="Y", keep_conclusions=build.relevant)
-    attacks = compute_attacks(arguments, build.framework)
-    aaf = to_aaf(arguments, attacks)
-    report = acceptance_status(aaf, args.semantics)
+        payload = _practical_payload(analyze_practical(agent, args.situation, args.semantics))
+        render_text = _practical_text
+    else:
+        if agent.epistemic is None or not agent.epistemic.assumptions:
+            raise SchemaError("no situation given and the file has no epistemic section")
+        payload = _epistemic_framework_payload(agent.epistemic, args.semantics)
+        render_text = _epistemic_framework_text
     if args.dot:
-        _emit(_dot(aaf, build.display_order))
-        return 0
-    trivial = {
-        arg.conclusion: arg.id for arg in arguments
-        if not arg.rules_used and len(arg.support) == 1
-    }
-    if args.format == "json":
-        payload = {
-            "framework": "epistemic",
-            "semantics": args.semantics,
-            "rules": [
-                {"id": r.id, "head": r.head, "body": list(r.body)}
-                for r in build.framework.rules
-            ],
-            "arguments": [
-                {
-                    "id": arg.id,
-                    "premises": sorted(arg.premises),
-                    "conclusion": arg.conclusion,
-                }
-                for arg in aaf.arguments
-            ],
-            "attacks": _sorted_attack_list(aaf),
-            "extensions": _extensions_list(report, aaf),
-            "diagnostic": report.diagnostic,
-            "assumptions": {
-                str(lit): report.statuses[trivial[str(lit)]].status
-                for lit in agent.epistemic.assumptions
-            },
-        }
-        _emit(json.dumps(payload, indent=2, ensure_ascii=False))
-        return 0
-    lines = ["framework: epistemic", f"semantics: {args.semantics}"]
-    lines.append("rules:")
-    lines.extend(_rule_lines(build.framework, build.rule_info))
-    lines.append("arguments:")
-    lines.extend(_argument_lines(aaf, build.display_order))
-    lines.append("attacks:")
-    lines.extend(_attack_lines(aaf))
-    lines.append("extensions:")
-    lines.extend(_extension_lines(report, aaf))
-    if report.diagnostic:
-        lines.append(f"diagnostic: {report.diagnostic}")
-    lines.append("assumption status:")
-    for lit in agent.epistemic.assumptions:
-        lines.append(f"  {lit}: {report.statuses[trivial[str(lit)]].status}")
-    _emit("\n".join(lines))
+        _emit(_dot(payload))
+    else:
+        _emit_report(payload, args.format, render_text)
     return 0
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    agent = _load(args.file)
+    agent = load_agent(args.file)
     if args.situation_mode == (args.action is not None):
         raise SchemaError("give either an action to explain or --situation, not both")
 
@@ -283,80 +246,36 @@ def cmd_explain(args: argparse.Namespace) -> int:
             raise SchemaError("the file has no epistemic section")
         perceptions = sorted(agent.situation(args.situation).positives)
         result = analyze_epistemic(agent.epistemic, perceptions, args.semantics)
-        explanations = explain_situation(result)
-        if args.format == "json":
-            _emit(json.dumps([asdict(e) for e in explanations], indent=2, ensure_ascii=False))
-            return 0
-        blocks = []
-        for e in explanations:
-            blocks.append(_explanation_text(e))
-        _emit("\n".join(blocks))
+        payload = [asdict(e) for e in explain_situation(result)]
+        _emit_report(payload, args.format, lambda p: "\n".join(map(_explanation_text, p)))
         return 0
 
     result = analyze_practical(agent, args.situation, args.semantics)
-    explanation = explain_action(result, args.action)
-    if args.format == "json":
-        _emit(json.dumps(asdict(explanation), indent=2, ensure_ascii=False))
-        return 0
-    _emit(_explanation_text(explanation))
+    _emit_report(asdict(explain_action(result, args.action)), args.format, _explanation_text)
     return 0
 
 
-def _explanation_text(e) -> str:
-    lines = [f"subject: {e.subject}"]
-    lines.append(f"verdict: {e.verdict}")
-    if e.argument_id:
-        lines.append(f"argument: {e.argument_id}")
-    if e.premises:
-        lines.append("premises: " + ", ".join(e.premises))
-    if e.extensions:
-        lines.append("extensions: " + ", ".join(e.extensions))
-    if e.attackers:
+def _explanation_text(e: dict) -> str:
+    lines = [f"subject: {e['subject']}"]
+    lines.append(f"verdict: {e['verdict']}")
+    if e["argument_id"]:
+        lines.append(f"argument: {e['argument_id']}")
+    if e["premises"]:
+        lines.append("premises: " + ", ".join(e["premises"]))
+    if e["extensions"]:
+        lines.append("extensions: " + ", ".join(e["extensions"]))
+    if e["attackers"]:
         lines.append("attackers:")
-        for att in e.attackers:
-            where = ", ".join(att.extensions) or "(no extension)"
-            counters = ", ".join(att.counter_attackers) or "(none)"
+        for att in e["attackers"]:
+            where = ", ".join(att["extensions"]) or "(no extension)"
+            counters = ", ".join(att["counter_attackers"]) or "(none)"
             lines.append(
-                f"  {att.argument_id} in {where}: premises {', '.join(att.premises) or '(none)'}; "
+                f"  {att['argument_id']} in {where}: premises {', '.join(att['premises']) or '(none)'}; "
                 f"counter-attackers: {counters}"
             )
-    if e.defenders:
-        lines.append("defenders: " + ", ".join(e.defenders))
-    lines.append(f"text: {e.text}")
-    return "\n".join(lines)
-
-
-def _epistemic_report_text(agent: VdaAgent, result: EpistemicResult) -> str:
-    lines = ["perceptions: " + ", ".join(result.perceptions)]
-    if result.aaf is None:
-        lines.append("assumptions: (none)")
-    else:
-        lines.append("arguments:")
-        lines.extend(_argument_lines(result.aaf, result.build.display_order))
-        lines.append("attacks:")
-        lines.extend(_attack_lines(result.aaf))
-        lines.append("extensions:")
-        lines.extend(_extension_lines(result.report, result.aaf))
-        if result.report.diagnostic:
-            lines.append(f"diagnostic: {result.report.diagnostic}")
-        lines.append("assumptions:")
-        for verdict in result.verdicts:
-            if verdict.status == "justified":
-                detail = "defended by " + (", ".join(verdict.defenders) or "no one; unattacked")
-            elif verdict.status == "rejected":
-                detail = f"attacked by {verdict.rejecting_attacker}"
-            else:
-                detail = "undecided"
-            lines.append(f"  {verdict.literal}: {verdict.status} ({detail})")
-    atoms = result.spec.atoms
-    pj = [str(lit) for lit in _ordered_literals(result.justified_perceptions, atoms)]
-    lines.append("P^J: " + (", ".join(pj) or "(empty)"))
-    if result.situation is not None:
-        sj = ", ".join(str(lit) for lit in result.situation.ordered(atoms))
-        lines.append(f"S^J: {sj}")
-    else:
-        undecided = ", ".join(str(lit) for lit in result.undecided)
-        lines.append(f"S^J: indeterminate (undecided assumptions: {undecided})")
+    if e["defenders"]:
+        lines.append("defenders: " + ", ".join(e["defenders"]))
+    lines.append(f"text: {e['text']}")
     return "\n".join(lines)
 
 
@@ -365,7 +284,7 @@ def _ordered_literals(literals, atoms):
     return sorted(literals, key=lambda lit: (not lit.positive, order.get(lit.atom, len(order))))
 
 
-def _epistemic_report_json(result: EpistemicResult) -> dict:
+def _epistemic_payload(result: EpistemicResult) -> dict:
     atoms = result.spec.atoms
     payload: dict = {
         "perceptions": list(result.perceptions),
@@ -381,12 +300,9 @@ def _epistemic_report_json(result: EpistemicResult) -> dict:
         "undecided": [lit.token for lit in result.undecided],
     }
     if result.aaf is not None:
-        payload["arguments"] = [
-            {"id": arg.id, "premises": sorted(arg.premises), "conclusion": arg.conclusion}
-            for arg in result.aaf.arguments
-        ]
-        payload["attacks"] = _sorted_attack_list(result.aaf)
-        payload["extensions"] = _extensions_list(result.report, result.aaf)
+        payload["arguments"] = _epistemic_arguments(result.aaf, result.build.display_order)
+        payload.update(_graph_payload(result.aaf, result.report))
+        payload["diagnostic"] = result.report.diagnostic
         payload["assumptions"] = [
             {
                 "literal": v.literal.token,
@@ -400,8 +316,43 @@ def _epistemic_report_json(result: EpistemicResult) -> dict:
     return payload
 
 
+def _shown(token: str) -> str:
+    """Display form of a literal token: '~atom' is shown as '¬atom'."""
+    return "¬" + token[1:] if token.startswith("~") else token
+
+
+def _epistemic_text(payload: dict) -> str:
+    lines = ["perceptions: " + ", ".join(payload["perceptions"])]
+    if "arguments" not in payload:
+        lines.append("assumptions: (none)")
+    else:
+        lines.extend(_graph_lines(payload))
+        lines.append("assumptions:")
+        for verdict in payload["assumptions"]:
+            if verdict["status"] == "justified":
+                detail = "defended by " + (", ".join(verdict["defenders"]) or "no one; unattacked")
+            elif verdict["status"] == "rejected":
+                # The first attacker accepted in every extension rejects it.
+                rejecting = next(
+                    a for a in verdict["attackers"]
+                    if all(a in members for members in payload["extensions"])
+                )
+                detail = f"attacked by {rejecting}"
+            else:
+                detail = "undecided"
+            lines.append(f"  {_shown(verdict['literal'])}: {verdict['status']} ({detail})")
+    pj = [_shown(token) for token in payload["justified_perceptions"]]
+    lines.append("P^J: " + (", ".join(pj) or "(empty)"))
+    if payload["situation"] is not None:
+        lines.append("S^J: " + ", ".join(_shown(token) for token in payload["situation"]))
+    else:
+        undecided = ", ".join(_shown(token) for token in payload["undecided"])
+        lines.append(f"S^J: indeterminate (undecided assumptions: {undecided})")
+    return "\n".join(lines)
+
+
 def cmd_epistemic(args: argparse.Namespace) -> int:
-    agent = _load(args.file)
+    agent = load_agent(args.file)
     if agent.epistemic is None:
         raise SchemaError("the file has no epistemic section")
     if (args.situation is None) == (args.perceptions is None):
@@ -411,10 +362,7 @@ def cmd_epistemic(args: argparse.Namespace) -> int:
     else:
         perceptions = [p for p in args.perceptions.split(",") if p]
     result = analyze_epistemic(agent.epistemic, perceptions, args.semantics)
-    if args.format == "json":
-        _emit(json.dumps(_epistemic_report_json(result), indent=2, ensure_ascii=False))
-    else:
-        _emit(_epistemic_report_text(agent, result))
+    _emit_report(_epistemic_payload(result), args.format, _epistemic_text)
     return 1 if result.undecided else 0
 
 
@@ -482,7 +430,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--seed", type=int, default=0)
     p_oracle.add_argument("--instances", type=int, default=25)
     p_oracle.add_argument("--aafs", type=int, default=25)
-    common(p_oracle, semantics=False)
     p_oracle.set_defaults(func=cmd_oracle_check)
 
     return parser
@@ -500,9 +447,6 @@ def main(argv: list[str] | None = None) -> int:
     except IndeterminateSituationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (AgentFileError, SchemaError, UnknownNameError, SelfComparisonError, ResourceCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except VdaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -43,6 +43,11 @@ class VdaLanguage:
         overlap = set(self.actions) & set(self.duties)
         if overlap:
             raise SchemaError(f"actions and duties must be disjoint; shared: {sorted(overlap)}")
+        for atom in self.atoms:
+            # A literal is written 'atom' or '~atom'; an atom whose name reads
+            # as another literal could not be told apart from it.
+            if Literal.parse(atom) != Literal(atom):
+                raise SchemaError(f"atom {atom!r} reads as a different literal")
 
 
 @dataclass(frozen=True, order=True)

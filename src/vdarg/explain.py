@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
+from .aba import ordered_premises
 from .errors import SchemaError, UnknownNameError
 from .frameworks import EpistemicResult, PracticalResult
 
@@ -46,10 +47,6 @@ class Explanation:
     text: str = ""
 
 
-def _ordered_premises(premises: frozenset[str], order: Mapping[str, int]) -> tuple[str, ...]:
-    return tuple(sorted(premises, key=lambda s: (order.get(s, len(order)), s)))
-
-
 def _value_pairs(values: Mapping[str, int]) -> _VvaluePairs:
     return tuple(values.items())
 
@@ -75,16 +72,10 @@ def explain_action(result: PracticalResult, action: str) -> Explanation:
 
     arg_id = result.action_argument[action]
     argument = result.aaf.argument(arg_id)
-    premises = _ordered_premises(argument.premises, build.display_order)
+    premises = tuple(ordered_premises(argument.premises, build.display_order))
     report = result.report
     labelled = report.labelled()
-
-    arg_index = {a.id: i for i, a in enumerate(result.aaf.arguments)}
-    attackers_of: dict[str, list[str]] = {a.id: [] for a in result.aaf.arguments}
-    for src, dst in result.aaf.attacks:
-        attackers_of[dst].append(src)
-    for lst in attackers_of.values():
-        lst.sort(key=arg_index.__getitem__)
+    attackers_of = result.aaf.attackers_of
 
     def citation(att_id: str, extensions: tuple[str, ...]) -> AttackerCitation:
         att = result.aaf.argument(att_id)
@@ -93,19 +84,12 @@ def explain_action(result: PracticalResult, action: str) -> Explanation:
         source = info.source if info else None
         target = info.target if info else None
         counter = tuple(
-            sorted(
-                {
-                    c
-                    for c in attackers_of[att_id]
-                    if any(c in ext.members for _, ext in labelled)
-                },
-                key=arg_index.__getitem__,
-            )
+            c for c in attackers_of[att_id] if any(c in ext.members for _, ext in labelled)
         )
         return AttackerCitation(
             argument_id=att_id,
             conclusion=att.conclusion,
-            premises=_ordered_premises(att.premises, build.display_order),
+            premises=tuple(ordered_premises(att.premises, build.display_order)),
             extensions=extensions,
             counter_attackers=counter,
             disjunct=disjunct,
@@ -118,9 +102,9 @@ def explain_action(result: PracticalResult, action: str) -> Explanation:
     status = report.statuses[arg_id]
     member_labels = report.extension_labels_containing(arg_id)
 
-    if not report.vacuous and status.in_all:
+    if status.in_all:
         verdict = "justified-skeptical"
-    elif not report.vacuous and status.in_some:
+    elif status.in_some:
         verdict = "justified-credulous"
     else:
         verdict = None
@@ -133,7 +117,7 @@ def explain_action(result: PracticalResult, action: str) -> Explanation:
             for att_id in attackers_of[arg_id]
         )
         defenders = tuple(
-            sorted({c for att in cited for c in att.counter_attackers}, key=arg_index.__getitem__)
+            sorted({c for att in cited for c in att.counter_attackers}, key=result.aaf.index.__getitem__)
         )
         expl = Explanation(
             subject=action, kind="action", verdict=verdict, argument_id=arg_id,
@@ -144,7 +128,7 @@ def explain_action(result: PracticalResult, action: str) -> Explanation:
 
     # Not in any extension: rejected if every extension accepts an attacker.
     chosen: list[AttackerCitation] = []
-    rejected_everywhere = bool(labelled) and not report.vacuous
+    rejected_everywhere = bool(labelled)
     for label, ext in labelled:
         accepted = [a for a in attackers_of[arg_id] if a in ext.members]
         if not accepted:
@@ -205,7 +189,7 @@ def explain_situation(result: EpistemicResult) -> tuple[Explanation, ...]:
             return AttackerCitation(
                 argument_id=att_id,
                 conclusion=att.conclusion,
-                premises=_ordered_premises(att.premises, order),
+                premises=tuple(ordered_premises(att.premises, order)),
                 extensions=tuple(label for label, ext in labelled if att_id in ext.members),
                 counter_attackers=tuple(
                     d for d in verdict.defenders

@@ -21,7 +21,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from . import core
-from .aba import AbaFramework, Aaf, Rule, compute_attacks, derive_arguments, to_aaf
+from .aba import AbaFramework, Aaf, Argument, Rule, compute_attacks, derive_arguments, to_aaf
 from .core import (
     ActionMatrix,
     Disjunct,
@@ -180,16 +180,26 @@ class PracticalResult:
     solution_cycle: tuple[str, ...] | None
 
 
+def evaluate(
+    framework: AbaFramework,
+    label: str,
+    relevant: Iterable[str],
+    semantics: str,
+) -> tuple[Aaf, AcceptanceReport]:
+    """Derive the arguments concluding a relevant sentence, their attacks, and
+    every argument's acceptance status under one semantics."""
+    arguments = derive_arguments(framework, label=label, keep_conclusions=relevant)
+    aaf = to_aaf(arguments, compute_attacks(arguments, framework))
+    return aaf, acceptance_status(aaf, semantics)
+
+
 def analyze_practical(agent: VdaAgent, situation_id: str, semantics: str = "grounded") -> PracticalResult:
     build = practical_framework(agent, situation_id)
-    arguments = derive_arguments(build.framework, label="X", keep_conclusions=build.relevant)
-    attacks = compute_attacks(arguments, build.framework)
-    aaf = to_aaf(arguments, attacks)
-    report = acceptance_status(aaf, semantics)
+    aaf, report = evaluate(build.framework, "X", build.relevant, semantics)
 
     actions = agent.language.actions
     action_argument = {
-        arg.conclusion: arg.id for arg in arguments if arg.conclusion in set(actions)
+        arg.conclusion: arg.id for arg in aaf.arguments if arg.conclusion in set(actions)
     }
     action_status: dict[str, str] = {}
     justified: set[str] = set()
@@ -201,11 +211,10 @@ def analyze_practical(agent: VdaAgent, situation_id: str, semantics: str = "grou
             continue
         status = report.statuses[arg_id]
         action_status[a] = status.status
-        if not report.vacuous:
-            if status.in_all:
-                justified.add(a)
-            if status.in_some:
-                credulous.add(a)
+        if status.in_all:
+            justified.add(a)
+        if status.in_some:
+            credulous.add(a)
 
     sol = core.solution_report(agent, situation_id)
     return PracticalResult(
@@ -287,6 +296,13 @@ def epistemic_framework(spec: EpistemicSpec, extra_facts: Iterable[Literal] = ()
     )
 
 
+def assumption_arguments(aaf: Aaf) -> tuple[Argument, ...]:
+    """The argument {a} |- a of each assumption a of an epistemic framework,
+    in declaration order: an epistemic framework has no axioms, so these are
+    the arguments that use no rule, and every assumption is relevant."""
+    return tuple(arg for arg in aaf.arguments if not arg.rules_used)
+
+
 @dataclass(frozen=True)
 class AssumptionVerdict:
     literal: Literal
@@ -333,45 +349,26 @@ def analyze_epistemic(
     assumption_set = set(spec.assumptions)
     auto_facts = tuple(Literal(p) for p in ordered_p if Literal(p) not in assumption_set)
     build = epistemic_framework(spec, extra_facts=auto_facts)
-    arguments = derive_arguments(build.framework, label="Y", keep_conclusions=build.relevant)
-    attacks = compute_attacks(arguments, build.framework)
-    aaf = to_aaf(arguments, attacks)
-    report = acceptance_status(aaf, semantics)
-
-    arg_index = {arg.id: i for i, arg in enumerate(arguments)}
-    attackers_of: dict[str, list[str]] = {arg.id: [] for arg in arguments}
-    for src, dst in aaf.attacks:
-        attackers_of[dst].append(src)
-    for lst in attackers_of.values():
-        lst.sort(key=arg_index.__getitem__)
-
-    trivial = {
-        (arg.conclusion, arg.support): arg.id
-        for arg in arguments
-        if not arg.rules_used and len(arg.support) == 1
-    }
+    aaf, report = evaluate(build.framework, "Y", build.relevant, semantics)
 
     verdicts: list[AssumptionVerdict] = []
-    for lit in spec.assumptions:
-        sentence = str(lit)
-        arg_id = trivial[(sentence, frozenset({sentence}))]
+    for lit, argument in zip(spec.assumptions, assumption_arguments(aaf)):
+        arg_id = argument.id
         status = report.statuses[arg_id]
-        atts = tuple(attackers_of[arg_id])
+        atts = aaf.attackers_of[arg_id]
         defenders = sorted(
             {
                 d
                 for att in atts
-                for d in attackers_of[att]
+                for d in aaf.attackers_of[att]
                 if report.statuses[d].in_all
             },
-            key=arg_index.__getitem__,
+            key=aaf.index.__getitem__,
         )
-        if not report.vacuous and status.in_all:
+        if status.in_all:
             verdicts.append(AssumptionVerdict(lit, arg_id, "justified", atts, tuple(defenders), None))
         else:
-            rejecting = next(
-                (a for a in atts if not report.vacuous and report.statuses[a].in_all), None
-            )
+            rejecting = next((a for a in atts if report.statuses[a].in_all), None)
             if rejecting is not None:
                 verdicts.append(AssumptionVerdict(lit, arg_id, "rejected", atts, tuple(defenders), rejecting))
             else:

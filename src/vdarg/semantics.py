@@ -32,25 +32,19 @@ class Extension:
 class _Graph:
     def __init__(self, aaf: Aaf):
         self.ids = aaf.ids
-        self.index = {arg_id: i for i, arg_id in enumerate(self.ids)}
+        index = aaf.index
         n = len(self.ids)
         self.n = n
         self.attackers = [0] * n
         self.victims = [0] * n
         for src, dst in aaf.attacks:
-            s, d = self.index[src], self.index[dst]
+            s, d = index[src], index[dst]
             self.victims[s] |= 1 << d
             self.attackers[d] |= 1 << s
 
     def extension(self, in_mask: int, semantics: str) -> Extension:
         members = frozenset(self.ids[i] for i in range(self.n) if in_mask >> i & 1)
         return Extension(members, semantics)
-
-    def mask_of(self, members: frozenset[str]) -> int:
-        mask = 0
-        for m in members:
-            mask |= 1 << self.index[m]
-        return mask
 
 
 def _grounded_mask(g: _Graph) -> tuple[int, int]:
@@ -129,23 +123,6 @@ def _complete_in_masks(g: _Graph, budget: int = DEFAULT_SEARCH_BUDGET) -> list[i
             if not changed:
                 return True
 
-    def valid(labels: list[int]) -> bool:
-        in_mask = sum(1 << i for i in range(n) if labels[i] == _IN)
-        out_mask = sum(1 << i for i in range(n) if labels[i] == _OUT)
-        undec_mask = full & ~in_mask & ~out_mask
-        for i in range(n):
-            att = attackers[i]
-            if labels[i] == _IN:
-                if att & ~out_mask:
-                    return False
-            elif labels[i] == _OUT:
-                if not att & in_mask:
-                    return False
-            else:
-                if att & in_mask or not att & undec_mask:
-                    return False
-        return True
-
     def search(labels: list[int]) -> None:
         nonlocal nodes_visited
         nodes_visited += 1
@@ -154,9 +131,11 @@ def _complete_in_masks(g: _Graph, budget: int = DEFAULT_SEARCH_BUDGET) -> list[i
         try:
             pivot = labels.index(_UNASSIGNED)
         except ValueError:
-            if valid(labels):
-                in_mask = sum(1 << i for i in range(n) if labels[i] == _IN)
-                results[in_mask] = None
+            # Every argument is labelled, and the last pass of propagate saw
+            # these final labels: IN has all attackers OUT, OUT has an IN
+            # attacker, UNDEC has an UNDEC attacker and no IN one.
+            in_mask = sum(1 << i for i in range(n) if labels[i] == _IN)
+            results[in_mask] = None
             return
         for lab in (_IN, _OUT, _UNDEC):
             trial = labels.copy()
@@ -251,12 +230,14 @@ def acceptance_status(aaf: Aaf, semantics: str, budget: int = DEFAULT_SEARCH_BUD
     skeptically-justified: in every extension; credulously-justified: in at
     least one but not all; skeptically/credulously-rejected: attacked by an
     argument with the corresponding justified status; undecided otherwise.
+    With no extension at all every status is vacuous, with in_all and
+    in_some both false.
     """
     exts = extensions_for(aaf, semantics, budget)
     ids = aaf.ids
     if not exts:
         statuses = {
-            arg_id: ArgumentStatus(arg_id, "vacuous", True, False) for arg_id in ids
+            arg_id: ArgumentStatus(arg_id, "vacuous", False, False) for arg_id in ids
         }
         return AcceptanceReport(
             semantics, exts, statuses, vacuous=True,
@@ -265,19 +246,17 @@ def acceptance_status(aaf: Aaf, semantics: str, budget: int = DEFAULT_SEARCH_BUD
     member_sets = [ext.members for ext in exts]
     in_all = {arg_id: all(arg_id in s for s in member_sets) for arg_id in ids}
     in_some = {arg_id: any(arg_id in s for s in member_sets) for arg_id in ids}
-    attackers_of: dict[str, set[str]] = {arg_id: set() for arg_id in ids}
-    for src, dst in aaf.attacks:
-        attackers_of[dst].add(src)
 
     statuses = {}
     for arg_id in ids:
+        attackers = aaf.attackers_of[arg_id]
         if in_all[arg_id]:
             status = "skeptically-justified"
         elif in_some[arg_id]:
             status = "credulously-justified"
-        elif any(in_all[a] for a in attackers_of[arg_id]):
+        elif any(in_all[a] for a in attackers):
             status = "skeptically-rejected"
-        elif any(in_some[a] and not in_all[a] for a in attackers_of[arg_id]):
+        elif any(in_some[a] and not in_all[a] for a in attackers):
             status = "credulously-rejected"
         else:
             status = "undecided"

@@ -38,6 +38,18 @@ class TestParsing:
         with pytest.raises(AgentFileError, match=r"bad\.json:1:14"):
             load_agent(bad)
 
+    def test_non_utf8_file_is_a_file_error(self, tmp_path):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe{\x00}\x00")
+        with pytest.raises(AgentFileError, match=r"utf16\.json"):
+            load_agent(bad)
+
+    @pytest.mark.parametrize("atom", ["~p", "¬p", "!p", " p", ""])
+    def test_atom_that_reads_as_another_literal_is_rejected(self, atom):
+        data = {"language": {"atoms": [atom], "actions": [], "duties": []}}
+        with pytest.raises(AgentFileError):
+            parse_agent(json.dumps(data))
+
     def test_short_duty_row_names_the_action(self, eldercare):
         data = json.loads(dump_agent(eldercare))
         data["matrices"]["S1"]["charge"] = [0, 1, -1]

@@ -171,6 +171,44 @@ class TestEpistemic:
         assert "P^J: x" in out
         assert "S^J: x, ¬y" in out
 
+    def test_json_carries_the_diagnostic_of_the_text(self, run, tmp_path):
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps({
+            "language": {"atoms": ["a", "b", "c", "x", "y", "z"], "actions": [], "duties": []},
+            "epistemic": {
+                "assumptions": ["a", "b", "c"],
+                "contraries": {"a": "x", "b": "y", "c": "z"},
+                "rules": {"r1": {"head": "x", "body": ["b"]}, "r2": {"head": "y", "body": ["c"]},
+                          "r3": {"head": "z", "body": ["a"]}},
+            },
+        }), encoding="utf-8")
+        argv = ("epistemic", str(path), "--perceptions", "", "--semantics", "stable")
+        _, text, _ = run(*argv)
+        code, out, _ = run(*argv, "--format", "json")
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["diagnostic"].startswith("stable semantics yielded no extensions")
+        assert f"diagnostic: {payload['diagnostic']}" in text.splitlines()
+        assert all(v["defenders"] == [] for v in payload["assumptions"])
+
+    @pytest.mark.parametrize("command", [("epistemic", "--perceptions", ""), ("justify",)])
+    def test_json_premises_follow_the_display_order(self, run, tmp_path, command):
+        path = tmp_path / "order.json"
+        path.write_text(json.dumps({
+            "language": {"atoms": ["a", "b", "c", "x"], "actions": [], "duties": []},
+            "epistemic": {
+                "assumptions": ["b", "a", "c"],
+                "contraries": {"c": "x"},
+                "rules": {"r1": {"head": "x", "body": ["a", "b"]}},
+            },
+        }), encoding="utf-8")
+        argv = (command[0], str(path), *command[1:])
+        _, text, _ = run(*argv)
+        _, out, _ = run(*argv, "--format", "json")
+        assert "  Y4: {b, a} ⊢ x" in text.splitlines()
+        y4 = next(arg for arg in json.loads(out)["arguments"] if arg["id"] == "Y4")
+        assert y4["premises"] == ["b", "a"]
+
     def test_symmetric_conflict_exits_nonzero(self, run, standoff_path):
         code, out, _ = run("epistemic", str(standoff_path), "T")
         assert code == 1
@@ -227,6 +265,17 @@ class TestDeterminismAndCodes:
         code, out, _ = run("oracle-check", "--instances", "5", "--aafs", "5")
         assert code == 0
         assert "mismatches=0" in out
+
+    def test_oracle_check_has_no_format_option(self, run):
+        code, _, _ = run("oracle-check", "--instances", "1", "--aafs", "1", "--format", "json")
+        assert code == 2
+
+    def test_non_utf8_file_exits_2(self, run, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        code, _, err = run("solve", str(path), "S1")
+        assert code == 2
+        assert "utf16.json" in err
 
     def test_oracle_check_is_hidden_from_help(self, run):
         code, out, _ = run("--help")

@@ -261,6 +261,26 @@ class TestJustifiedSituation:
             justified_situation(spec, ["x"])
         assert set(err.value.undecided) == {"x", "¬x"}
 
+    def test_no_extension_claims_no_defender(self):
+        # a, b, c are attacked through x <- b, y <- c, z <- a: an odd cycle,
+        # so stable semantics has no extension to defend anything in.
+        atoms = ("a", "b", "c", "x", "y", "z")
+        spec = EpistemicSpec(
+            atoms,
+            (Literal("a"), Literal("b"), Literal("c")),
+            (
+                EpistemicRule("r1", Literal("x"), (Literal("b"),)),
+                EpistemicRule("r2", Literal("y"), (Literal("c"),)),
+                EpistemicRule("r3", Literal("z"), (Literal("a"),)),
+            ),
+            {Literal("a"): Literal("x"), Literal("b"): Literal("y"), Literal("c"): Literal("z")},
+        )
+        result = analyze_epistemic(spec, [], "stable")
+        assert result.report.vacuous
+        assert [v.status for v in result.verdicts] == ["undecided"] * 3
+        assert all(v.defenders == () for v in result.verdicts)
+        assert all(v.attackers for v in result.verdicts)
+
     def test_empty_assumption_set_is_identity(self):
         spec = EpistemicSpec(("x", "y"), ())
         result = analyze_epistemic(spec, ["y"])

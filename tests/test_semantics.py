@@ -81,6 +81,8 @@ class TestSmallCases:
         assert report.vacuous
         assert report.diagnostic is not None
         assert report.statuses["A1"].status == "vacuous"
+        assert not report.statuses["A1"].in_all
+        assert not report.statuses["A1"].in_some
 
     def test_empty_aaf(self):
         aaf = make_aaf(0, set())
