@@ -43,14 +43,26 @@ def load_agent(path: str | Path) -> VdaAgent:
 
 def parse_agent(text: str, source: str = "<string>") -> VdaAgent:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise AgentFileError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except SchemaError as exc:
+        raise AgentFileError(f"{source}: {exc}") from exc
     try:
         agent = _build(data)
         return validate_agent(agent)
     except SchemaError as exc:
         raise AgentFileError(f"{source}: {exc}") from exc
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object, refusing a key that appears twice in it."""
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SchemaError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _expect(data: Any, key: str, kind: type, where: str, default: Any = None, required: bool = False) -> Any:
@@ -62,6 +74,13 @@ def _expect(data: Any, key: str, kind: type, where: str, default: Any = None, re
     if not isinstance(value, kind):
         raise SchemaError(f"{where}.{key}: expected {kind.__name__}")
     return value
+
+
+def _int_list(values: Any) -> bool:
+    """True for a list of integers; JSON true and false are not integers."""
+    return isinstance(values, list) and all(
+        isinstance(v, int) and not isinstance(v, bool) for v in values
+    )
 
 
 def _name_list(values: Any, where: str) -> tuple[str, ...]:
@@ -87,7 +106,7 @@ def _build(data: Any) -> VdaAgent:
             raise SchemaError(f"duty_names.{key}: expected a string")
 
     range_data = _expect(data, "value_range", list, "top level", default=list(DEFAULT_VALUE_RANGE))
-    if len(range_data) != 2 or not all(isinstance(v, int) for v in range_data):
+    if len(range_data) != 2 or not _int_list(range_data):
         raise SchemaError("value_range: expected [low, high] integers")
     value_range = (range_data[0], range_data[1])
 
@@ -103,7 +122,7 @@ def _build(data: Any) -> VdaAgent:
         vectors = {}
         for action, row in rows.items():
             where = f"matrices.{sid}.{action}"
-            if not isinstance(row, list) or not all(isinstance(v, int) for v in row):
+            if not _int_list(row):
                 raise SchemaError(f"{where}: expected a list of integers")
             if len(row) != len(duties):
                 raise SchemaError(f"{where}: expected {len(duties)} values, got {len(row)}")
@@ -116,7 +135,7 @@ def _build(data: Any) -> VdaAgent:
         disjuncts = []
         for uid, row in principle_data.items():
             where = f"principle.{uid}"
-            if not isinstance(row, list) or not all(isinstance(v, int) for v in row):
+            if not _int_list(row):
                 raise SchemaError(f"{where}: expected a list of integers")
             if len(row) != len(duties):
                 raise SchemaError(f"{where}: expected {len(duties)} values, got {len(row)}")

@@ -244,8 +244,36 @@ class VdaAgent:
         return self.principle
 
 
+def vector_sentence(situation_id: str, action: str) -> str:
+    return f"v_{situation_id}({action})"
+
+
+def negation_sentence(situation_id: str, action: str) -> str:
+    return f"¬v_{situation_id}({action})"
+
+
+def check_sentence_names(agent: VdaAgent, situation_id: str) -> None:
+    """Disjunct ids, actions, and the situation's vector and negated-vector
+    sentences share one practical framework language, so they must differ."""
+    actions = agent.language.actions
+    seen: set[str] = set()
+    for part in (
+        [u.id for u in agent.principle or ()],
+        [vector_sentence(situation_id, a) for a in actions],
+        [negation_sentence(situation_id, a) for a in actions],
+        actions,
+    ):
+        for name in part:
+            if name in seen:
+                raise SchemaError(
+                    f"sentence name collision between disjuncts, vectors, and actions: {name!r}"
+                )
+            seen.add(name)
+
+
 def validate_agent(agent: VdaAgent) -> VdaAgent:
-    """Check referential integrity, totality of situations, and vector shapes."""
+    """Check referential integrity, totality of situations, vector shapes, and
+    that no practical sentence is named twice."""
     lang = agent.language
     duties = lang.duties
     lo, hi = agent.value_range
@@ -258,6 +286,7 @@ def validate_agent(agent: VdaAgent) -> VdaAgent:
             raise SchemaError(f"matrix {sid!r} references an undeclared situation")
         if set(matrix.vectors) != set(lang.actions):
             raise SchemaError(f"matrix {sid!r} must have exactly one vector per action")
+        check_sentence_names(agent, sid)
         for action, vec in matrix.vectors.items():
             if vec.action != action:
                 raise SchemaError(f"matrix {sid!r}: vector keyed {action!r} names {vec.action!r}")

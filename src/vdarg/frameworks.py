@@ -30,6 +30,9 @@ from .core import (
     Principle,
     Situation,
     VdaAgent,
+    check_sentence_names,
+    negation_sentence,
+    vector_sentence,
 )
 from .errors import (
     IndeterminateSituationError,
@@ -37,14 +40,6 @@ from .errors import (
     UnknownNameError,
 )
 from .semantics import AcceptanceReport, acceptance_status
-
-
-def vector_sentence(situation_id: str, action: str) -> str:
-    return f"v_{situation_id}({action})"
-
-
-def negation_sentence(situation_id: str, action: str) -> str:
-    return f"¬v_{situation_id}({action})"
 
 
 @dataclass(frozen=True)
@@ -92,19 +87,11 @@ def practical_framework(agent: VdaAgent, situation_id: str) -> PracticalBuild:
         qualifying = list(actions)
     qualifying_set = set(qualifying)
 
+    check_sentence_names(agent, situation_id)
     vector_of = {a: vector_sentence(situation_id, a) for a in actions}
     negation_of = {a: negation_sentence(situation_id, a) for a in actions}
     disjunct_ids = [u.id for u in principle]
-
-    language_parts = (
-        disjunct_ids,
-        [vector_of[a] for a in actions],
-        [negation_of[a] for a in actions],
-        list(actions),
-    )
-    language = frozenset(s for part in language_parts for s in part)
-    if len(language) != sum(len(part) for part in language_parts):
-        raise SchemaError("sentence name collision between disjuncts, vectors, and actions")
+    language = frozenset((*disjunct_ids, *vector_of.values(), *negation_of.values(), *actions))
 
     rules: list[Rule] = []
     rule_info: dict[str, RuleInfo] = {}
@@ -198,8 +185,9 @@ def analyze_practical(agent: VdaAgent, situation_id: str, semantics: str = "grou
     aaf, report = evaluate(build.framework, "X", build.relevant, semantics)
 
     actions = agent.language.actions
+    action_set = set(actions)
     action_argument = {
-        arg.conclusion: arg.id for arg in aaf.arguments if arg.conclusion in set(actions)
+        arg.conclusion: arg.id for arg in aaf.arguments if arg.conclusion in action_set
     }
     action_status: dict[str, str] = {}
     justified: set[str] = set()

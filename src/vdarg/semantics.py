@@ -1,11 +1,23 @@
 """Extension semantics for abstract argumentation frameworks.
 
+Every semantics runs over classes of arguments that have identical attacker
+sets.  In a complete labelling an argument is IN when all its attackers are
+OUT, OUT when one is IN and UNDEC otherwise, so arguments that share their
+attackers always share their label: the complete labellings of the framework
+are exactly those of the class graph, lifted to the members of each class.
+Lifting is injective and monotone, so the least (grounded), the maximal
+(preferred) and the undecided-free (stable) ones correspond as well.  In the
+flat ABA frameworks compiled here an argument is attacked only through its
+assumptions, so this is the assumption-level semantics of flat ABA, derived
+from the attack graph alone.
+
 Grounded extensions come from the usual defense fixpoint.  Complete
 extensions are enumerated by a three-valued labelling search (in/out/undec)
-with constraint propagation; preferred extensions are the set-inclusion
-maximal complete ones and stable extensions the complete ones with nothing
-undecided.  Results are canonically ordered so identical inputs always
-produce identical output.
+with constraint propagation; its ``budget`` counts search nodes over
+classes.  Preferred extensions are the set-inclusion maximal complete ones
+and stable extensions the complete ones with nothing undecided.  Results are
+canonically ordered, by their members' positions in argument order, so
+identical inputs always produce identical output.
 """
 
 from __future__ import annotations
@@ -29,26 +41,55 @@ class Extension:
     semantics: str
 
 
+def _bits(mask: int):
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class _Graph:
+    """Attack graph over classes of arguments with identical attacker sets.
+
+    Classes are numbered by their first member in argument order; class d
+    attacks class c when some member of d attacks the members of c.
+    """
+
     def __init__(self, aaf: Aaf):
         self.ids = aaf.ids
         index = aaf.index
-        n = len(self.ids)
+        argument_attackers = [0] * len(self.ids)
+        for src, dst in aaf.attacks:
+            argument_attackers[index[dst]] |= 1 << index[src]
+        classes: dict[int, list[int]] = {}
+        for i, mask in enumerate(argument_attackers):
+            classes.setdefault(mask, []).append(i)
+        self.members = list(classes.values())
+        class_of = {i: c for c, members in enumerate(self.members) for i in members}
+        n = len(self.members)
         self.n = n
+        self.lifted = [sum(1 << i for i in members) for members in self.members]
         self.attackers = [0] * n
         self.victims = [0] * n
-        for src, dst in aaf.attacks:
-            s, d = index[src], index[dst]
-            self.victims[s] |= 1 << d
-            self.attackers[d] |= 1 << s
+        for c, mask in enumerate(classes):
+            while mask:
+                d = class_of[(mask & -mask).bit_length() - 1]
+                mask &= ~self.lifted[d]
+                self.attackers[c] |= 1 << d
+                self.victims[d] |= 1 << c
+
+    def lift(self, mask: int) -> int:
+        """The argument mask of the members of the classes in mask."""
+        return sum(self.lifted[c] for c in _bits(mask))
 
     def extension(self, in_mask: int, semantics: str) -> Extension:
-        members = frozenset(self.ids[i] for i in range(self.n) if in_mask >> i & 1)
+        members = frozenset(self.ids[i] for c in _bits(in_mask) for i in self.members[c])
         return Extension(members, semantics)
 
 
 def _grounded_mask(g: _Graph) -> tuple[int, int]:
-    """Least fixpoint: repeatedly accept arguments whose attackers are all defeated."""
+    """Least fixpoint: repeatedly accept classes whose attackers are all defeated."""
     in_mask = 0
     out_mask = 0
     changed = True
@@ -146,7 +187,7 @@ def _complete_in_masks(g: _Graph, budget: int = DEFAULT_SEARCH_BUDGET) -> list[i
     start = [_UNASSIGNED] * n
     if propagate(start):
         search(start)
-    return sorted(results)
+    return sorted(results, key=g.lift)
 
 
 def grounded(aaf: Aaf) -> Extension:

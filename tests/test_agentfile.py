@@ -95,3 +95,61 @@ class TestParsing:
     def test_principle_is_optional(self, nixon):
         assert nixon.principle is None
         assert nixon.epistemic is not None
+
+
+class TestDuplicateKeys:
+    @pytest.mark.parametrize(
+        "anchor, repeated, key",
+        [
+            ("{\n", '"principle": {"u1": [0, 0, 0, 0, 0, 0, 0]},\n', "principle"),
+            ('"situations": {\n', '"S1": [],\n', "S1"),
+            ('"principle": {\n', '"u1": [0, 0, 0, 0, 0, 0, 0],\n', "u1"),
+        ],
+        ids=["top-level", "situation", "disjunct"],
+    )
+    def test_repeated_key_is_rejected_by_name(self, eldercare, anchor, repeated, key):
+        text = dump_agent(eldercare)
+        assert anchor in text
+        text = text.replace(anchor, anchor + repeated, 1)
+        with pytest.raises(AgentFileError, match=f"duplicate key '{key}'"):
+            parse_agent(text)
+
+
+class TestBooleansAreNotIntegers:
+    def test_boolean_in_value_range(self, eldercare):
+        data = json.loads(dump_agent(eldercare))
+        data["value_range"] = [True, 2]
+        with pytest.raises(AgentFileError, match="value_range"):
+            parse_agent(json.dumps(data))
+
+    def test_boolean_matrix_degree(self, eldercare):
+        data = json.loads(dump_agent(eldercare))
+        data["matrices"]["S1"]["charge"][0] = False
+        with pytest.raises(AgentFileError, match=r"matrices\.S1\.charge"):
+            parse_agent(json.dumps(data))
+
+    def test_boolean_principle_bound(self, eldercare):
+        data = json.loads(dump_agent(eldercare))
+        data["principle"]["u1"][6] = True
+        with pytest.raises(AgentFileError, match=r"principle\.u1"):
+            parse_agent(json.dumps(data))
+
+
+class TestNameCollisions:
+    def test_disjunct_named_like_an_action_is_rejected_at_load(self, eldercare):
+        data = json.loads(dump_agent(eldercare))
+        data["principle"] = {
+            ("warn" if uid == "u1" else uid): row for uid, row in data["principle"].items()
+        }
+        with pytest.raises(AgentFileError, match="collision.*'warn'"):
+            parse_agent(json.dumps(data))
+
+    def test_action_named_like_a_vector_sentence_is_rejected_at_load(self):
+        data = {
+            "language": {"atoms": ["p"], "actions": ["go", "v_R(go)"], "duties": ["d"]},
+            "situations": {"R": ["p"]},
+            "matrices": {"R": {"go": [1], "v_R(go)": [0]}},
+            "principle": {"u1": [-2]},
+        }
+        with pytest.raises(AgentFileError, match=r"collision.*'v_R\(go\)'"):
+            parse_agent(json.dumps(data))

@@ -281,3 +281,22 @@ class TestDeterminismAndCodes:
         code, out, _ = run("--help")
         assert code == 0
         assert "oracle-check" not in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "S1"],
+            ["justify", "S1"],
+            ["explain", "S1", "charge"],
+            ["epistemic", "S2"],
+        ],
+    )
+    def test_sentence_name_collision_exits_2_at_load(self, run, tmp_path, eldercare_path, argv):
+        data = json.loads(eldercare_path.read_text(encoding="utf-8"))
+        data["principle"]["warn"] = data["principle"].pop("u1")
+        path = tmp_path / "collision.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(argv[0], str(path), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert "collision" in err

@@ -3,20 +3,32 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vdarg import (
+    ActionMatrix,
     Aaf,
     Argument,
+    Disjunct,
+    DutyVector,
+    Principle,
+    Situation,
     TreeNode,
     UnknownNameError,
+    VdaAgent,
+    VdaLanguage,
     acceptance_status,
     complete,
     extensions_for,
     grounded,
+    practical_framework,
     preferred,
     stable,
 )
+from vdarg.frameworks import evaluate
 from vdarg.oracle import brute_force_extensions, random_aaf
+from vdarg.semantics import SEMANTICS
 
 
 def make_aaf(n: int, attacks: set[tuple[int, int]]) -> Aaf:
@@ -143,3 +155,83 @@ class TestOracleAgreement:
             assert all(g <= c for c in completes)
             assert preferreds <= completes
             assert stables <= preferreds
+
+
+def argument_mask(aaf: Aaf, members: frozenset[str]) -> int:
+    return sum(1 << aaf.index[arg_id] for arg_id in members)
+
+
+@st.composite
+def aafs_with_clones(draw):
+    """A random AAF whose arguments are then cloned: each clone is attacked
+    by exactly the attackers of its original, and attacks some of the
+    original's victims, so that classes of arguments with equal attackers
+    have several members.  The arguments come out in a shuffled order."""
+    k = draw(st.integers(1, 5), label="originals")
+    sizes = [draw(st.integers(1, 3), label=f"copies of C{c}") for c in range(k)]
+    pairs = [(d, c) for d in range(k) for c in range(k)]
+    attacks = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)), label="attacks")
+    names = [[f"C{c}.{m}" for m in range(size)] for c, size in enumerate(sizes)]
+    relation = set()
+    for d, c in attacks:
+        sources = draw(
+            st.lists(st.sampled_from(names[d]), min_size=1, unique=True), label=f"C{d} -> C{c}",
+        )
+        relation.update((src, dst) for src in sources for dst in names[c])
+    order = draw(st.permutations([name for group in names for name in group]), label="order")
+    args = tuple(Argument(name, name, frozenset(), frozenset(), frozenset(), TreeNode(name)) for name in order)
+    return Aaf(args, frozenset(relation))
+
+
+class TestClassQuotient:
+    @settings(max_examples=150, deadline=None)
+    @given(aaf=aafs_with_clones())
+    def test_extensions_equal_the_oracle_in_argument_order(self, aaf):
+        for semantics in SEMANTICS:
+            got = [ext.members for ext in extensions_for(aaf, semantics)]
+            expected = sorted(brute_force_extensions(aaf, semantics), key=lambda m: argument_mask(aaf, m))
+            assert got == expected, semantics
+
+    def test_dense_ten_action_agent_finishes_in_a_small_budget(self):
+        # 10 actions, 5 duties; disjunct u_k asks for +1 on duty k and allows a
+        # loss of 2 on every other duty, so weak preference is dense: the
+        # framework has 47 arguments but only 10 classes of equal attackers.
+        duties = ("d1", "d2", "d3", "d4", "d5")
+        rows = {
+            "a1": (2, -1, -1, -2, -2), "a2": (-2, 2, 2, 2, -1), "a3": (-1, 1, 2, -1, -1),
+            "a4": (-1, 0, 2, -1, -2), "a5": (0, 2, 0, 1, -1), "a6": (1, 2, -2, 0, 2),
+            "a7": (1, 0, 0, -2, 2), "a8": (-2, 0, 0, 2, 0), "a9": (-1, -1, -1, 2, 1),
+            "a10": (1, -1, 1, -1, 1),
+        }
+        agent = VdaAgent(
+            language=VdaLanguage(("p",), tuple(rows), duties),
+            situations={"R": Situation.from_perceptions(("p",), ["p"])},
+            matrices={"R": ActionMatrix("R", {
+                a: DutyVector(a, dict(zip(duties, row))) for a, row in rows.items()
+            })},
+            principle=Principle(tuple(
+                Disjunct(f"u{k + 1}", {d: 1 if i == k else -2 for i, d in enumerate(duties)})
+                for k in range(4)
+            )),
+        )
+        build = practical_framework(agent, "R")
+        aaf, _ = evaluate(build.framework, "X", build.relevant, "grounded")
+        assert len(aaf.arguments) == 47
+
+        extensions = complete(aaf, budget=1_000)
+        assert len(extensions) == 5
+        for ext in extensions:
+            assert is_complete(aaf, ext.members)
+        least = grounded(aaf).members
+        assert extensions[0].members == least
+        assert all(least <= ext.members for ext in extensions)
+
+
+def is_complete(aaf: Aaf, members: frozenset[str]) -> bool:
+    """Conflict-free, and exactly the arguments it defends (textbook definition)."""
+    attackers = aaf.attackers_of
+    if any(src in members for arg_id in members for src in attackers[arg_id]):
+        return False
+    defeated = {dst for src, dst in aaf.attacks if src in members}
+    defended = {arg_id for arg_id in aaf.ids if set(attackers[arg_id]) <= defeated}
+    return defended == members
