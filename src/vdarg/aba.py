@@ -8,6 +8,13 @@ never repeats a sentence.  Axioms are sentences accepted without proof and
 without a contrary (here: principle disjuncts); they appear among an
 argument's premises but not in its attackable support.
 
+A derivation builds each sentence's proofs once and shares them among the
+rule bodies that name it, unless they depend on the branch: the cycle guard
+skipped a rule below the sentence (a branch sentence below it would put it on
+a rule cycle, where the guard fires), or a leaf below it is an axiom that
+heads a rule (a leaf in proofs, but a branch at the top level).  The top
+level applies only rules whose head is kept; other heads are sub-proofs only.
+
 An argument attacks another when its conclusion is the contrary of an
 assumption in the other's support.  Only flat frameworks are supported: no
 assumption may head a rule.
@@ -15,7 +22,7 @@ assumption may head a rule.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -114,7 +121,6 @@ class _Proof:
     support: frozenset[str]
     premises: frozenset[str]
     rules_used: frozenset[str]
-    depth: int
 
 
 def derive_arguments(
@@ -130,38 +136,64 @@ def derive_arguments(
     Returns the single-assumption argument {a} |- a for every assumption,
     then one argument per distinct (conclusion, support, rules used) rooted
     at each rule, in rule order.  With keep_conclusions, arguments whose
-    conclusion falls outside the given set are dropped before numbering.
+    conclusion falls outside the given set are dropped before numbering, and
+    only rules with a kept head are applied at the top level.
     """
     validate_framework(framework)
     keep = None if keep_conclusions is None else frozenset(keep_conclusions)
+    memo: dict[str, tuple[list[_Proof], int]] = {}  # sentence -> (proofs, call height)
 
-    def proofs_for(sentence: str, path: frozenset[str], depth: int) -> list[_Proof]:
+    def proofs_for(sentence: str, path: frozenset[str], depth: int) -> tuple[list[_Proof], int, bool]:
+        """The sentence's proofs, the height of the calls below this one, and
+        whether the proofs depend on the branch: the cycle guard skipped a rule
+        below, or a leaf below is an axiom that heads a rule."""
+        if sentence in memo:
+            proofs, height = memo[sentence]
+            if depth + height > max_depth:
+                raise ResourceCapError("max_depth", max_depth)
+            return proofs, height, False
         if depth > max_depth:
             raise ResourceCapError("max_depth", max_depth)
         if sentence in framework.assumption_set:
             leaf = TreeNode(sentence)
-            return [_Proof(leaf, frozenset({sentence}), frozenset({sentence}), frozenset(), depth)]
+            return [_Proof(leaf, frozenset({sentence}), frozenset({sentence}), frozenset())], 0, False
         if sentence in framework.axioms:
+            # An axiom that heads a rule is on the branch of that rule at the
+            # top level, where the guard skips every rule naming it.
             leaf = TreeNode(sentence)
-            return [_Proof(leaf, frozenset(), frozenset({sentence}), frozenset(), depth)]
+            on_some_branch = sentence in framework.rules_by_head
+            return [_Proof(leaf, frozenset(), frozenset({sentence}), frozenset())], 0, on_some_branch
         out: list[_Proof] = []
+        height, guarded = 0, False
         for _, rule in framework.rules_by_head.get(sentence, ()):
             if any(b in path for b in rule.body):
-                continue  # cycle guard: a branch never repeats a sentence
-            out.extend(_apply_rule(rule, path, depth))
-        return out
+                guarded = True  # cycle guard: a branch never repeats a sentence
+                continue
+            child_options, rule_height, rule_guarded = _children(rule, path, depth)
+            out.extend(_combine(rule, child_options))
+            height = max(height, rule_height)
+            guarded = guarded or rule_guarded
+        if not guarded:
+            memo[sentence] = (out, height)
+        return out, height, guarded
 
-    def _apply_rule(rule: Rule, path: frozenset[str], depth: int) -> list[_Proof]:
-        child_options = [proofs_for(b, path | {b}, depth + 1) for b in rule.body]
-        combos: list[_Proof] = []
+    def _children(rule: Rule, path: frozenset[str], depth: int) -> tuple[list[list[_Proof]], int, bool]:
+        options: list[list[_Proof]] = []
+        height, guarded = 0, False
+        for b in rule.body:
+            proofs, child_height, child_guarded = proofs_for(b, path | {b}, depth + 1)
+            options.append(proofs)
+            height = max(height, child_height + 1)
+            guarded = guarded or child_guarded
+        return options, height, guarded
+
+    def _combine(rule: Rule, child_options: list[list[_Proof]]) -> Iterator[_Proof]:
         for parts in product(*child_options):
             tree = TreeNode(rule.head, rule.id, tuple(p.tree for p in parts))
             support = frozenset().union(*(p.support for p in parts)) if parts else frozenset()
             premises = frozenset().union(*(p.premises for p in parts)) if parts else frozenset()
             rules_used = frozenset({rule.id}).union(*(p.rules_used for p in parts))
-            node_depth = max([p.depth for p in parts], default=depth)
-            combos.append(_Proof(tree, support, premises, rules_used, node_depth))
-        return combos
+            yield _Proof(tree, support, premises, rules_used)
 
     collected: dict[tuple, tuple[str, _Proof]] = {}
 
@@ -177,9 +209,12 @@ def derive_arguments(
 
     for a in framework.assumptions:
         leaf = TreeNode(a)
-        add(a, _Proof(leaf, frozenset({a}), frozenset({a}), frozenset(), 1))
+        add(a, _Proof(leaf, frozenset({a}), frozenset({a}), frozenset()))
     for rule in framework.rules:
-        for proof in _apply_rule(rule, frozenset({rule.head}), 1):
+        if keep is not None and rule.head not in keep:
+            continue
+        child_options = _children(rule, frozenset({rule.head}), 1)[0]
+        for proof in _combine(rule, child_options):  # one at a time, so max_arguments bounds the work
             add(rule.head, proof)
 
     return tuple(

@@ -153,10 +153,17 @@ def _build(data: Any) -> VdaAgent:
             )
         )
         contraries = {}
+        spelling: dict[Literal, str] = {}
         for key, value in _expect(epistemic_data, "contraries", dict, "epistemic", default={}).items():
             if not isinstance(value, str):
                 raise SchemaError(f"epistemic.contraries.{key}: expected a string")
-            contraries[Literal.parse(key)] = Literal.parse(value)
+            assumption = Literal.parse(key)
+            if assumption in spelling:
+                raise SchemaError(
+                    f"epistemic.contraries: keys {spelling[assumption]!r} and {key!r} name the same literal"
+                )
+            spelling[assumption] = key
+            contraries[assumption] = Literal.parse(value)
         rules = []
         for rid, body in _expect(epistemic_data, "rules", dict, "epistemic", default={}).items():
             where = f"epistemic.rules.{rid}"

@@ -16,7 +16,7 @@ undominated actions.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -367,8 +367,13 @@ def weak_preference_pairs(matrix: ActionMatrix, principle: Principle) -> dict[tu
 
 def strict_preference_graph(matrix: ActionMatrix, principle: Principle) -> dict[str, frozenset[str]]:
     """Map action -> set of actions it strictly dominates."""
-    weak = weak_preference_pairs(matrix, principle)
-    actions = list(matrix.vectors.keys())
+    return _strict_graph(matrix.vectors, weak_preference_pairs(matrix, principle))
+
+
+def _strict_graph(
+    actions: Iterable[str], weak: Mapping[tuple[str, str], tuple[str, ...]]
+) -> dict[str, frozenset[str]]:
+    actions = list(actions)
     return {
         a: frozenset(b for b in actions if b != a and (a, b) in weak and (b, a) not in weak)
         for a in actions
@@ -419,13 +424,21 @@ class SolutionReport:
 def solution_report(agent: VdaAgent, situation_id: str) -> SolutionReport:
     matrix = agent.matrix_for(situation_id)
     principle = agent.require_principle()
-    strict = strict_preference_graph(matrix, principle)
+    return solution_report_from_pairs(matrix.vectors, weak_preference_pairs(matrix, principle))
+
+
+def solution_report_from_pairs(
+    actions: Iterable[str], weak: Mapping[tuple[str, str], tuple[str, ...]]
+) -> SolutionReport:
+    """The solution report of a matrix's actions, in matrix order, given its
+    weak preference pairs as weak_preference_pairs returns them."""
+    strict = _strict_graph(actions, weak)
     cycle = _find_cycle(strict)
     if cycle is not None:
         # No total ordering avoids inverting a strict edge inside the cycle.
         return SolutionReport(frozenset(), cycle)
     dominated = {b for targets in strict.values() for b in targets}
-    return SolutionReport(frozenset(a for a in matrix.vectors if a not in dominated))
+    return SolutionReport(frozenset(a for a in strict if a not in dominated))
 
 
 def solutions(agent: VdaAgent, situation_id: str) -> frozenset[str]:

@@ -62,6 +62,7 @@ class PracticalBuild:
     assumption_actions: tuple[str, ...]
     relevant: frozenset[str]
     display_order: Mapping[str, int]  # canonical sentence order for premise rendering
+    weak_preference: Mapping[tuple[str, str], tuple[str, ...]]  # as core.weak_preference_pairs
 
 
 def _tightest(principle: Principle, disjunct_ids: Sequence[str]) -> Disjunct:
@@ -105,13 +106,12 @@ def practical_framework(agent: VdaAgent, situation_id: str) -> PracticalBuild:
         if a in qualifying_set:
             add_rule(a, (vector_of[a],), RuleInfo("action", action=a))
 
+    weak = core.weak_preference_pairs(matrix, principle)
     for target in actions:
         if target not in qualifying_set:
             continue  # only assumptions have contraries to conclude
         for source in actions:
-            if source == target:
-                continue
-            ids = core.prefers(matrix, principle, source, target)
+            ids = weak.get((source, target))
             if not ids:
                 continue
             chosen = _tightest(principle, ids)
@@ -148,6 +148,7 @@ def practical_framework(agent: VdaAgent, situation_id: str) -> PracticalBuild:
         assumption_actions=tuple(a for a in actions if a in qualifying_set),
         relevant=relevant,
         display_order=display_order,
+        weak_preference=weak,
     )
 
 
@@ -204,7 +205,7 @@ def analyze_practical(agent: VdaAgent, situation_id: str, semantics: str = "grou
         if status.in_some:
             credulous.add(a)
 
-    sol = core.solution_report(agent, situation_id)
+    sol = core.solution_report_from_pairs(agent.matrix_for(situation_id).vectors, build.weak_preference)
     return PracticalResult(
         build=build,
         semantics=semantics,

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vdarg import (
     AbaFramework,
@@ -16,6 +21,8 @@ from vdarg import (
     to_aaf,
     validate_framework,
 )
+from vdarg import aba
+from vdarg.aba import TreeNode
 
 
 def nixon_framework() -> AbaFramework:
@@ -231,3 +238,218 @@ def test_aaf_rejects_unknown_attack_endpoints():
     args = derive_arguments(fw)
     with pytest.raises(SchemaError):
         to_aaf(args, {("Y1", "ghost")})
+
+
+def test_max_depth_cap_ignores_heads_that_are_not_kept():
+    # The same chain, but only the assumption is kept: p1 is never a top-level
+    # conclusion, and no kept argument needs it.
+    chain = [Rule(f"r{i}", f"p{i}", (f"p{i + 1}",)) for i in range(1, 6)]
+    chain.append(Rule("r6", "p6", ("a",)))
+    fw = AbaFramework(
+        language=frozenset({f"p{i}" for i in range(1, 7)} | {"a", "na"}),
+        rules=tuple(chain),
+        assumptions=("a",),
+        contraries={"a": "na"},
+    )
+    assert [a.conclusion for a in derive_arguments(fw, max_depth=3, keep_conclusions={"a"})] == ["a"]
+    with pytest.raises(ResourceCapError) as err:
+        derive_arguments(fw, max_depth=3, keep_conclusions={"a", "p1"})
+    assert err.value.cap == "max_depth"
+
+
+def test_max_arguments_bounds_the_work_of_one_rule(monkeypatch):
+    # One kept rule over 16 body sentences with two proofs each: 2^16 combinations.
+    built = []
+
+    class CountingTreeNode(TreeNode):
+        def __init__(self, *args, **kwargs):
+            built.append(None)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(aba, "TreeNode", CountingTreeNode)
+    body = tuple(f"p{i}" for i in range(16))
+    rules = [Rule(f"{side}{i}", p) for i, p in enumerate(body) for side in "xy"]
+    rules.append(Rule("goal", "g", body))
+    fw = AbaFramework(
+        language=frozenset(body) | {"g", "a", "na"},
+        rules=tuple(rules),
+        assumptions=("a",),
+        contraries={"a": "na"},
+    )
+    with pytest.raises(ResourceCapError) as err:
+        derive_arguments(fw, max_arguments=10, keep_conclusions={"g"})
+    assert (err.value.cap, err.value.limit) == ("max_arguments", 10)
+    assert len(built) <= 48  # 32 body proofs, 11 goal proofs and the assumption leaf
+
+
+# Reference derivation: backward chaining with the cycle guard and no shared
+# proofs, every body sentence derived afresh on every branch.  Like
+# derive_arguments, it applies only rules with a kept head at the top level.
+
+
+@dataclass(frozen=True)
+class _RefProof:
+    tree: TreeNode
+    support: frozenset[str]
+    premises: frozenset[str]
+    rules_used: frozenset[str]
+    depth: int
+
+
+def reference_arguments(framework, *, max_depth, max_arguments, keep_conclusions):
+    keep = None if keep_conclusions is None else frozenset(keep_conclusions)
+
+    def proofs_for(sentence, path, depth):
+        if depth > max_depth:
+            raise ResourceCapError("max_depth", max_depth)
+        if sentence in framework.assumption_set:
+            leaf = TreeNode(sentence)
+            return [_RefProof(leaf, frozenset({sentence}), frozenset({sentence}), frozenset(), depth)]
+        if sentence in framework.axioms:
+            leaf = TreeNode(sentence)
+            return [_RefProof(leaf, frozenset(), frozenset({sentence}), frozenset(), depth)]
+        out = []
+        for _, rule in framework.rules_by_head.get(sentence, ()):
+            if any(b in path for b in rule.body):
+                continue
+            out.extend(_apply_rule(rule, path, depth))
+        return out
+
+    def _apply_rule(rule, path, depth):
+        child_options = [proofs_for(b, path | {b}, depth + 1) for b in rule.body]
+        combos = []
+        for parts in product(*child_options):
+            tree = TreeNode(rule.head, rule.id, tuple(p.tree for p in parts))
+            support = frozenset().union(*(p.support for p in parts)) if parts else frozenset()
+            premises = frozenset().union(*(p.premises for p in parts)) if parts else frozenset()
+            rules_used = frozenset({rule.id}).union(*(p.rules_used for p in parts))
+            node_depth = max([p.depth for p in parts], default=depth)
+            combos.append(_RefProof(tree, support, premises, rules_used, node_depth))
+        return combos
+
+    collected = {}
+
+    def add(conclusion, proof):
+        if keep is not None and conclusion not in keep:
+            return
+        key = (conclusion, proof.support, proof.rules_used)
+        if key in collected:
+            return
+        collected[key] = (conclusion, proof)
+        if len(collected) > max_arguments:
+            raise ResourceCapError("max_arguments", max_arguments)
+
+    for a in framework.assumptions:
+        add(a, _RefProof(TreeNode(a), frozenset({a}), frozenset({a}), frozenset(), 1))
+    for rule in framework.rules:
+        if keep is not None and rule.head not in keep:
+            continue
+        for proof in _apply_rule(rule, frozenset({rule.head}), 1):
+            add(rule.head, proof)
+    return [
+        (f"A{i + 1}", conclusion, p.support, p.premises, p.rules_used, p.tree)
+        for i, (conclusion, p) in enumerate(collected.values())
+    ]
+
+
+def derivation_outcome(derive, framework, **caps):
+    try:
+        return derive(framework, **caps)
+    except ResourceCapError as exc:
+        return exc.cap
+
+
+def production_arguments(framework, **caps):
+    return [
+        (a.id, a.conclusion, a.support, a.premises, a.rules_used, a.tree)
+        for a in derive_arguments(framework, **caps)
+    ]
+
+
+@st.composite
+def flat_frameworks(draw):
+    """Up to 8 sentences, at least one assumption, some axioms, and up to 8
+    rules whose bodies may repeat sentences, loop on their head or be empty."""
+    sentences = [f"s{i}" for i in range(draw(st.integers(1, 8)))]
+    assumptions = [s for s in sentences if draw(st.booleans())] or [sentences[0]]
+    others = [s for s in sentences if s not in assumptions]
+    axioms = frozenset(s for s in others if draw(st.integers(0, 3)) == 0)
+    rules = []
+    if others:
+        for i in range(draw(st.integers(0, 8))):
+            head = draw(st.sampled_from(others))
+            body = draw(st.lists(st.sampled_from(sentences), max_size=3))
+            rules.append(Rule(f"r{i + 1}", head, tuple(body)))
+    return AbaFramework(
+        language=frozenset(sentences),
+        rules=tuple(rules),
+        assumptions=tuple(assumptions),
+        contraries={a: draw(st.sampled_from(sentences)) for a in assumptions},
+        axioms=axioms,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    framework=flat_frameworks(),
+    keep_mask=st.one_of(st.none(), st.integers(0, 255)),
+    max_depth=st.integers(1, 6),
+    max_arguments=st.integers(1, 40),
+)
+def test_shared_proofs_match_the_reference_derivation(framework, keep_mask, max_depth, max_arguments):
+    keep = None if keep_mask is None else {f"s{i}" for i in range(8) if keep_mask >> i & 1}
+    caps = dict(max_depth=max_depth, max_arguments=max_arguments, keep_conclusions=keep)
+    assert derivation_outcome(production_arguments, framework, **caps) == derivation_outcome(
+        reference_arguments, framework, **caps
+    )
+
+
+def test_sentence_below_a_rule_cycle():
+    # s <- t, and t <-> u: t's proofs depend on whether u is on the branch, so
+    # the proofs of s, of t and of u each come out as the guard allows.
+    fw = AbaFramework(
+        language=frozenset({"s", "t", "u", "a", "b", "na", "nb"}),
+        rules=(
+            Rule("r1", "s", ("t",)),
+            Rule("r2", "t", ("u",)),
+            Rule("r3", "u", ("t",)),
+            Rule("r4", "t", ("a",)),
+            Rule("r5", "u", ("b",)),
+        ),
+        assumptions=("a", "b"),
+        contraries={"a": "na", "b": "nb"},
+    )
+    shapes = [(a.conclusion, sorted(a.support), sorted(a.rules_used)) for a in derive_arguments(fw)]
+    assert shapes == [
+        ("a", ["a"], []),
+        ("b", ["b"], []),
+        ("s", ["b"], ["r1", "r2", "r5"]),
+        ("s", ["a"], ["r1", "r4"]),
+        ("t", ["b"], ["r2", "r5"]),
+        ("u", ["a"], ["r3", "r4"]),
+        ("t", ["a"], ["r4"]),
+        ("u", ["b"], ["r5"]),
+    ]
+    caps = dict(max_depth=64, max_arguments=100, keep_conclusions=None)
+    assert production_arguments(fw, **caps) == reference_arguments(fw, **caps)
+
+
+def test_axiom_that_heads_a_rule_cycle():
+    # s0 is an axiom: a leaf inside proofs, but the head of r3 at the top
+    # level, where the guard skips r4 because s0 is on the branch.
+    fw = AbaFramework(
+        language=frozenset({"s0", "s4", "s6", "a", "na"}),
+        rules=(
+            Rule("r1", "s4", ("s6",)),
+            Rule("r2", "s0"),
+            Rule("r3", "s0", ("s4",)),
+            Rule("r4", "s6", ("s0",)),
+        ),
+        assumptions=("a",),
+        contraries={"a": "na"},
+        axioms=frozenset({"s0"}),
+    )
+    for max_depth in (3, 64):
+        caps = dict(max_depth=max_depth, max_arguments=100, keep_conclusions=None)
+        assert production_arguments(fw, **caps) == reference_arguments(fw, **caps)
+    assert [a.conclusion for a in derive_arguments(fw, max_depth=3)] == ["a", "s4", "s0", "s6"]

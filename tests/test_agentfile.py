@@ -92,6 +92,12 @@ class TestParsing:
         agent = parse_agent(json.dumps(data))
         assert agent == eldercare
 
+    def test_two_spellings_of_one_contrary_key_are_rejected(self, eldercare):
+        data = json.loads(dump_agent(eldercare))
+        data["epistemic"]["contraries"] = {"~ab": "lb", "¬ab": "fc"}
+        with pytest.raises(AgentFileError, match="'~ab' and '¬ab'"):
+            parse_agent(json.dumps(data))
+
     def test_principle_is_optional(self, nixon):
         assert nixon.principle is None
         assert nixon.epistemic is not None

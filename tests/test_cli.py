@@ -300,3 +300,13 @@ class TestDeterminismAndCodes:
         assert code == 2
         assert out == ""
         assert "collision" in err
+
+    def test_two_spellings_of_one_contrary_key_exit_2(self, run, tmp_path, eldercare_path):
+        data = json.loads(eldercare_path.read_text(encoding="utf-8"))
+        data["epistemic"]["contraries"] = {"~ab": "lb", "¬ab": "fc"}
+        path = tmp_path / "contraries.json"
+        path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+        code, out, err = run("epistemic", str(path), "S2")
+        assert code == 2
+        assert out == ""
+        assert "'~ab' and '¬ab'" in err
