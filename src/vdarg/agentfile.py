@@ -48,6 +48,8 @@ def parse_agent(text: str, source: str = "<string>") -> VdaAgent:
         raise AgentFileError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except SchemaError as exc:
         raise AgentFileError(f"{source}: {exc}") from exc
+    except RecursionError as exc:
+        raise AgentFileError(f"{source}: JSON nested too deeply") from exc
     try:
         agent = _build(data)
         return validate_agent(agent)

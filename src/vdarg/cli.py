@@ -118,8 +118,10 @@ def _solve_text(payload: dict) -> str:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     agent = load_agent(args.file)
-    report = core.solution_report(agent, args.situation)
-    ordering = core.ethical_ordering(agent, args.situation)
+    matrix = agent.matrix_for(args.situation)
+    weak = core.weak_preference_pairs(matrix, agent.require_principle())
+    report = core.solution_report_from_pairs(matrix.vectors, weak)
+    ordering = core._ordering_from_pairs(matrix.vectors, weak)
     payload = {
         "situation": args.situation,
         "solutions": [a for a in agent.language.actions if a in report.actions],

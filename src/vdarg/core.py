@@ -470,14 +470,24 @@ def ethical_ordering(
     """
     matrix = agent.matrix_for(situation_id)
     principle = agent.require_principle()
-    actions = list(matrix.vectors.keys())
+    return _ordering_from_pairs(matrix.vectors, weak_preference_pairs(matrix, principle), tie_break)
+
+
+def _ordering_from_pairs(
+    actions: Iterable[str],
+    weak: Mapping[tuple[str, str], tuple[str, ...]],
+    tie_break: Sequence[str] | None = None,
+) -> OrderingReport:
+    """ethical_ordering over a matrix's actions, given its weak preference
+    pairs as weak_preference_pairs returns them."""
+    actions = list(actions)
     if tie_break is None:
         priority = sorted(actions)
     else:
         priority = list(tie_break)
         if set(priority) != set(actions):
             raise SchemaError("tie_break must be a permutation of the matrix's actions")
-    strict = strict_preference_graph(matrix, principle)
+    strict = _strict_graph(actions, weak)
 
     remaining = set(actions)
     picked: list[str] = []
@@ -492,12 +502,11 @@ def ethical_ordering(
         picked.append(choice)
         remaining.discard(choice)
 
-    steps = []
-    for i, action in enumerate(picked):
-        if i + 1 < len(picked):
-            annotation = prefers(matrix, principle, action, picked[i + 1])
-        else:
-            annotation = ()
-        steps.append(OrderingStep(action, annotation))
+    steps = tuple(
+        OrderingStep(action, weak.get((action, following), ()))
+        for action, following in zip(picked, picked[1:])
+    )
+    if picked:
+        steps += (OrderingStep(picked[-1], ()),)
     stuck = tuple(sorted(remaining)) if remaining else None
-    return OrderingReport(tuple(steps), stuck)
+    return OrderingReport(steps, stuck)

@@ -14,9 +14,10 @@ from dataclasses import dataclass, replace
 
 from .aba import ordered_premises
 from .errors import SchemaError, UnknownNameError
-from .frameworks import EpistemicResult, PracticalResult
+from .frameworks import EpistemicResult, PracticalResult, RuleInfo
 
 _VvaluePairs = tuple[tuple[str, int], ...]
+_NO_RULE = RuleInfo("none")
 
 
 @dataclass(frozen=True)
@@ -60,111 +61,76 @@ def explain_action(result: PracticalResult, action: str) -> Explanation:
 
     matrix = agent.matrix_for(build.situation_id)
     principle = agent.require_principle()
-    semantics = result.semantics
+    report, aaf = result.report, result.aaf
+    attackers_of = aaf.attackers_of
 
-    if action not in result.action_argument:
-        expl = Explanation(
-            subject=action, kind="action", verdict="rejected-a-priori",
-            argument_id=None, premises=(), extensions=(), attackers=(), defenders=(),
-            semantics=semantics,
-        )
-        return replace(expl, text=render_text(expl, duty_names))
-
-    arg_id = result.action_argument[action]
-    argument = result.aaf.argument(arg_id)
-    premises = tuple(ordered_premises(argument.premises, build.display_order))
-    report = result.report
-    labelled = report.labelled()
-    attackers_of = result.aaf.attackers_of
+    def rule_info(att_id: str) -> RuleInfo:
+        return build.rule_info.get(aaf.argument(att_id).tree.rule_id or "", _NO_RULE)
 
     def citation(att_id: str, extensions: tuple[str, ...]) -> AttackerCitation:
-        att = result.aaf.argument(att_id)
-        info = build.rule_info.get(att.tree.rule_id or "", None)
-        disjunct = info.disjunct if info else None
-        source = info.source if info else None
-        target = info.target if info else None
-        counter = tuple(
-            c for c in attackers_of[att_id] if any(c in ext.members for _, ext in labelled)
-        )
+        att = aaf.argument(att_id)
+        info = rule_info(att_id)
         return AttackerCitation(
             argument_id=att_id,
             conclusion=att.conclusion,
             premises=tuple(ordered_premises(att.premises, build.display_order)),
             extensions=extensions,
-            counter_attackers=counter,
-            disjunct=disjunct,
-            disjunct_bounds=_value_pairs(principle.by_id(disjunct).bounds) if disjunct else None,
-            source_action=source,
-            source_vector=_value_pairs(matrix.vector(source).values) if source else None,
-            target_vector=_value_pairs(matrix.vector(target).values) if target else None,
+            counter_attackers=tuple(c for c in attackers_of[att_id] if report.statuses[c].in_some),
+            disjunct=info.disjunct,
+            disjunct_bounds=_value_pairs(principle.by_id(info.disjunct).bounds) if info.disjunct else None,
+            source_action=info.source,
+            source_vector=_value_pairs(matrix.vector(info.source).values) if info.source else None,
+            target_vector=_value_pairs(matrix.vector(info.target).values) if info.target else None,
         )
 
-    status = report.statuses[arg_id]
-    member_labels = report.extension_labels_containing(arg_id)
+    def rank(att_id: str) -> tuple[int, str]:
+        info = rule_info(att_id)
+        if info.disjunct is not None:
+            return (principle.index_of(info.disjunct), info.source or "")
+        return (len(principle.disjuncts), att_id)
 
-    if status.in_all:
-        verdict = "justified-skeptical"
-    elif status.in_some:
-        verdict = "justified-credulous"
+    def rejection(arg_id: str) -> tuple[AttackerCitation, ...] | None:
+        # Per extension, the best-ranked accepted attacker; None if one accepts none.
+        chosen: dict[str, AttackerCitation] = {}
+        for label, ext in report.labelled():
+            accepted = [a for a in attackers_of[arg_id] if a in ext.members]
+            if not accepted:
+                return None
+            best = min(accepted, key=rank)
+            if best in chosen:
+                chosen[best] = replace(chosen[best], extensions=chosen[best].extensions + (label,))
+            else:
+                chosen[best] = citation(best, (label,))
+        return tuple(chosen.values()) or None
+
+    arg_id = result.action_argument.get(action)
+    premises = extensions = attackers = defenders = ()
+    if arg_id is None:
+        verdict = "rejected-a-priori"
     else:
-        verdict = None
-
-    if verdict is not None:
-        cited = tuple(
-            citation(att_id, tuple(
-                label for label, ext in labelled if att_id in ext.members
-            ))
-            for att_id in attackers_of[arg_id]
-        )
-        defenders = tuple(
-            sorted({c for att in cited for c in att.counter_attackers}, key=result.aaf.index.__getitem__)
-        )
-        expl = Explanation(
-            subject=action, kind="action", verdict=verdict, argument_id=arg_id,
-            premises=premises, extensions=member_labels, attackers=cited,
-            defenders=defenders, semantics=semantics,
-        )
-        return replace(expl, text=render_text(expl, duty_names))
-
-    # Not in any extension: rejected if every extension accepts an attacker.
-    chosen: list[AttackerCitation] = []
-    rejected_everywhere = bool(labelled)
-    for label, ext in labelled:
-        accepted = [a for a in attackers_of[arg_id] if a in ext.members]
-        if not accepted:
-            rejected_everywhere = False
-            break
-
-        def rank(att_id: str) -> tuple[int, str]:
-            info = build.rule_info.get(result.aaf.argument(att_id).tree.rule_id or "")
-            if info and info.disjunct is not None:
-                return (principle.index_of(info.disjunct), info.source or "")
-            return (len(principle.disjuncts), att_id)
-
-        best = min(accepted, key=rank)
-        existing = next((c for c in chosen if c.argument_id == best), None)
-        if existing is None:
-            chosen.append(citation(best, (label,)))
+        premises = tuple(ordered_premises(aaf.argument(arg_id).premises, build.display_order))
+        status = report.statuses[arg_id]
+        rejected = None if status.in_some else rejection(arg_id)
+        if rejected is not None:
+            verdict, attackers = "rejected", rejected
+            extensions = tuple(label for label, _ in report.labelled())
         else:
-            chosen[chosen.index(existing)] = replace(
-                existing, extensions=existing.extensions + (label,)
+            verdict = (
+                "justified-skeptical" if status.in_all
+                else "justified-credulous" if status.in_some else "indeterminate"
             )
-    if rejected_everywhere:
-        expl = Explanation(
-            subject=action, kind="action", verdict="rejected", argument_id=arg_id,
-            premises=premises, extensions=tuple(label for label, _ in labelled),
-            attackers=tuple(chosen), defenders=(), semantics=semantics,
-        )
-        return replace(expl, text=render_text(expl, duty_names))
-
-    cited = tuple(
-        citation(att_id, tuple(label for label, ext in labelled if att_id in ext.members))
-        for att_id in attackers_of[arg_id]
-    )
+            extensions = report.extension_labels_containing(arg_id)
+            attackers = tuple(
+                citation(a, report.extension_labels_containing(a)) for a in attackers_of[arg_id]
+            )
+            if status.in_some:
+                defenders = tuple(
+                    sorted({c for att in attackers for c in att.counter_attackers}, key=aaf.index.__getitem__)
+                )
     expl = Explanation(
-        subject=action, kind="action", verdict="indeterminate", argument_id=arg_id,
-        premises=premises, extensions=member_labels, attackers=cited, defenders=(),
-        semantics=semantics,
+        subject=action, kind="action", verdict=verdict, argument_id=arg_id,
+        premises=premises, extensions=extensions, attackers=attackers,
+        defenders=defenders, semantics=result.semantics,
     )
     return replace(expl, text=render_text(expl, duty_names))
 
@@ -175,28 +141,24 @@ def explain_all_actions(result: PracticalResult) -> tuple[Explanation, ...]:
 
 def explain_situation(result: EpistemicResult) -> tuple[Explanation, ...]:
     """One explanation per perception assumption, indeterminate ones included."""
-    out: list[Explanation] = []
-    if result.report is None:
+    report, aaf = result.report, result.aaf
+    if report is None:
         return ()
-    labelled = result.report.labelled()
-    assert result.aaf is not None
-    by_id = result.aaf.by_id
+    assert aaf is not None
     order = result.build.display_order if result.build else {}
 
-    for verdict in result.verdicts:
-        def cite(att_id: str) -> AttackerCitation:
-            att = by_id[att_id]
-            return AttackerCitation(
-                argument_id=att_id,
-                conclusion=att.conclusion,
-                premises=tuple(ordered_premises(att.premises, order)),
-                extensions=tuple(label for label, ext in labelled if att_id in ext.members),
-                counter_attackers=tuple(
-                    d for d in verdict.defenders
-                    if (d, att_id) in result.aaf.attacks
-                ),
-            )
+    def cite(att_id: str, defenders: tuple[str, ...]) -> AttackerCitation:
+        att = aaf.by_id[att_id]
+        return AttackerCitation(
+            argument_id=att_id,
+            conclusion=att.conclusion,
+            premises=tuple(ordered_premises(att.premises, order)),
+            extensions=report.extension_labels_containing(att_id),
+            counter_attackers=tuple(d for d in defenders if (d, att_id) in aaf.attacks),
+        )
 
+    out: list[Explanation] = []
+    for verdict in result.verdicts:
         mapped = {
             "justified": "justified-skeptical",
             "rejected": "rejected",
@@ -211,8 +173,8 @@ def explain_situation(result: EpistemicResult) -> tuple[Explanation, ...]:
             subject=str(verdict.literal), kind="assumption", verdict=mapped,
             argument_id=verdict.argument_id,
             premises=(str(verdict.literal),),
-            extensions=result.report.extension_labels_containing(verdict.argument_id),
-            attackers=tuple(cite(a) for a in attacker_ids),
+            extensions=report.extension_labels_containing(verdict.argument_id),
+            attackers=tuple(cite(a, verdict.defenders) for a in attacker_ids),
             defenders=verdict.defenders,
             semantics=result.semantics,
         )

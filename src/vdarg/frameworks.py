@@ -44,7 +44,7 @@ from .semantics import AcceptanceReport, acceptance_status
 
 @dataclass(frozen=True)
 class RuleInfo:
-    kind: str  # "action" | "principle" | "fact"
+    kind: str  # "action" | "principle"
     action: str | None = None
     disjunct: str | None = None
     source: str | None = None
@@ -224,8 +224,6 @@ def analyze_practical(agent: VdaAgent, situation_id: str, semantics: str = "grou
 class EpistemicBuild:
     spec: EpistemicSpec
     framework: AbaFramework
-    rule_info: Mapping[str, RuleInfo]
-    fact_literals: tuple[Literal, ...]
     relevant: frozenset[str]
     display_order: Mapping[str, int]
 
@@ -241,13 +239,11 @@ def epistemic_framework(spec: EpistemicSpec, extra_facts: Iterable[Literal] = ()
     contraries = {str(a): str(spec.contrary_of(a)) for a in spec.assumptions}
 
     rules: list[Rule] = []
-    rule_info: dict[str, RuleInfo] = {}
     seen_shapes: set[tuple[str, tuple[str, ...]]] = set()
     for rule in spec.rules:
         shape = (str(rule.head), tuple(str(b) for b in rule.body))
         seen_shapes.add(shape)
         rules.append(Rule(rule.id, shape[0], shape[1]))
-        rule_info[rule.id] = RuleInfo("rule" if rule.body else "fact")
 
     assumption_set = set(spec.assumptions)
     facts: list[Literal] = []
@@ -264,7 +260,6 @@ def epistemic_framework(spec: EpistemicSpec, extra_facts: Iterable[Literal] = ()
         fact_count += 1
         rid = f"f{fact_count}"
         rules.append(Rule(rid, shape[0], ()))
-        rule_info[rid] = RuleInfo("fact")
 
     framework = AbaFramework(
         language=language,
@@ -278,8 +273,6 @@ def epistemic_framework(spec: EpistemicSpec, extra_facts: Iterable[Literal] = ()
     return EpistemicBuild(
         spec=spec,
         framework=framework,
-        rule_info=rule_info,
-        fact_literals=tuple(facts),
         relevant=relevant,
         display_order=display_order,
     )
@@ -345,23 +338,16 @@ def analyze_epistemic(
         arg_id = argument.id
         status = report.statuses[arg_id]
         atts = aaf.attackers_of[arg_id]
-        defenders = sorted(
-            {
-                d
-                for att in atts
-                for d in aaf.attackers_of[att]
-                if report.statuses[d].in_all
-            },
+        defenders = tuple(sorted(
+            {d for att in atts for d in aaf.attackers_of[att] if report.statuses[d].in_all},
             key=aaf.index.__getitem__,
+        ))
+        verdict = {"skeptically-justified": "justified", "skeptically-rejected": "rejected"}.get(
+            status.status, "undecided"
         )
-        if status.in_all:
-            verdicts.append(AssumptionVerdict(lit, arg_id, "justified", atts, tuple(defenders), None))
-        else:
-            rejecting = next((a for a in atts if report.statuses[a].in_all), None)
-            if rejecting is not None:
-                verdicts.append(AssumptionVerdict(lit, arg_id, "rejected", atts, tuple(defenders), rejecting))
-            else:
-                verdicts.append(AssumptionVerdict(lit, arg_id, "undecided", atts, tuple(defenders), None))
+        # No attacker of a justified or undecided argument is in every extension.
+        rejecting = next((a for a in atts if report.statuses[a].in_all), None)
+        verdicts.append(AssumptionVerdict(lit, arg_id, verdict, atts, defenders, rejecting))
 
     justified_literals = [v.literal for v in verdicts if v.status == "justified"]
     pj = frozenset(Literal(p) for p in ordered_p if Literal(p) not in assumption_set) | frozenset(

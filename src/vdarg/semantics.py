@@ -11,19 +11,21 @@ flat ABA frameworks compiled here an argument is attacked only through its
 assumptions, so this is the assumption-level semantics of flat ABA, derived
 from the attack graph alone.
 
-Grounded extensions come from the usual defense fixpoint.  Complete
-extensions are enumerated by a three-valued labelling search (in/out/undec)
-with constraint propagation; its ``budget`` counts search nodes over
-classes.  Preferred extensions are the set-inclusion maximal complete ones
-and stable extensions the complete ones with nothing undecided.  Results are
-canonically ordered, by their members' positions in argument order, so
-identical inputs always produce identical output.
+All four semantics are read off one three-valued labelling search
+(in/out/undec) with constraint propagation.  Grounded is the least complete
+labelling: what propagation forces from the empty labelling, with no search.
+The search labels one open class at a time, depth first over an explicit
+stack, so its depth is not bounded by Python's recursion limit; ``budget``
+counts its nodes.  Its leaves are the complete labellings; preferred are the
+maximal ones and stable the ones with nothing UNDEC.  Extensions are ordered
+by their members' positions in argument order, so output is deterministic.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 from .aba import Aaf
 from .errors import ResourceCapError, UnknownNameError
@@ -88,153 +90,124 @@ class _Graph:
         return Extension(members, semantics)
 
 
-def _grounded_mask(g: _Graph) -> tuple[int, int]:
-    """Least fixpoint: repeatedly accept classes whose attackers are all defeated."""
-    in_mask = 0
-    out_mask = 0
-    changed = True
-    while changed:
-        changed = False
-        for i in range(g.n):
-            bit = 1 << i
-            if (in_mask | out_mask) & bit:
-                continue
-            if g.attackers[i] & ~out_mask == 0:
-                in_mask |= bit
-                changed = True
-            elif g.attackers[i] & in_mask:
-                out_mask |= bit
-                changed = True
-    return in_mask, out_mask
+def _propagate(g: _Graph, labels: list[int]) -> bool:
+    """Apply forced moves until fixpoint; False on contradiction.
 
-
-def _complete_in_masks(g: _Graph, budget: int = DEFAULT_SEARCH_BUDGET) -> list[int]:
+    From the empty labelling this is the grounded labelling: a class goes IN
+    once all its attackers are OUT and OUT once one of them is IN.
+    """
     n = g.n
-    if n == 0:
-        return [0]
-    full = (1 << n) - 1
     attackers = g.attackers
     victims = g.victims
-    results: dict[int, None] = {}
+    while True:
+        in_mask = out_mask = undec_mask = 0
+        for i in range(n):
+            lab = labels[i]
+            if lab == _IN:
+                in_mask |= 1 << i
+            elif lab == _OUT:
+                out_mask |= 1 << i
+            elif lab == _UNDEC:
+                undec_mask |= 1 << i
+        unassigned = ((1 << n) - 1) & ~(in_mask | out_mask | undec_mask)
+        changed = False
+        for i in range(n):
+            att = attackers[i]
+            lab = labels[i]
+            if lab == _UNASSIGNED:
+                if att & in_mask:
+                    labels[i] = _OUT
+                    changed = True
+                elif att & ~out_mask == 0:
+                    labels[i] = _IN
+                    changed = True
+            elif lab == _IN:
+                if att & (in_mask | undec_mask):
+                    return False
+                forced_out = (att | victims[i]) & unassigned
+                while forced_out:
+                    j = (forced_out & -forced_out).bit_length() - 1
+                    forced_out &= forced_out - 1
+                    labels[j] = _OUT
+                    changed = True
+            elif lab == _OUT:
+                if att & in_mask == 0 and att & ~(out_mask | undec_mask) == 0:
+                    return False  # no attacker left that could witness OUT
+            elif lab == _UNDEC:
+                if att & in_mask:
+                    return False
+                if att & ~out_mask == 0:
+                    return False  # all attackers out: would have to be IN
+                if victims[i] & in_mask:
+                    return False  # an IN victim needs all attackers out
+        if not changed:
+            return True
+
+
+def _complete_labellings(g: _Graph, budget: int) -> dict[int, bool]:
+    """Every complete labelling, as its IN mask -> whether it leaves a class UNDEC.
+
+    Depth-first over an explicit stack: each node labels the first unassigned
+    class IN, OUT or UNDEC and propagates; budget bounds the nodes visited.
+    """
+    if g.n == 0:
+        return {0: False}
+    leaves: dict[int, bool] = {}
+    start = [_UNASSIGNED] * g.n
+    stack = [start] if _propagate(g, start) else []
     nodes_visited = 0
-
-    def propagate(labels: list[int]) -> bool:
-        """Apply forced moves until fixpoint; False on contradiction."""
-        while True:
-            in_mask = out_mask = undec_mask = 0
-            for i in range(n):
-                lab = labels[i]
-                if lab == _IN:
-                    in_mask |= 1 << i
-                elif lab == _OUT:
-                    out_mask |= 1 << i
-                elif lab == _UNDEC:
-                    undec_mask |= 1 << i
-            unassigned = full & ~(in_mask | out_mask | undec_mask)
-            changed = False
-            for i in range(n):
-                att = attackers[i]
-                lab = labels[i]
-                if lab == _UNASSIGNED:
-                    if att & in_mask:
-                        labels[i] = _OUT
-                        changed = True
-                    elif att & ~out_mask == 0:
-                        labels[i] = _IN
-                        changed = True
-                elif lab == _IN:
-                    if att & (in_mask | undec_mask):
-                        return False
-                    forced_out = (att | victims[i]) & unassigned
-                    while forced_out:
-                        j = (forced_out & -forced_out).bit_length() - 1
-                        forced_out &= forced_out - 1
-                        labels[j] = _OUT
-                        changed = True
-                elif lab == _OUT:
-                    if att & in_mask == 0 and att & ~(out_mask | undec_mask) == 0:
-                        return False  # no attacker left that could witness OUT
-                elif lab == _UNDEC:
-                    if att & in_mask:
-                        return False
-                    if att & ~out_mask == 0:
-                        return False  # all attackers out: would have to be IN
-                    if victims[i] & in_mask:
-                        return False  # an IN victim needs all attackers out
-            if not changed:
-                return True
-
-    def search(labels: list[int]) -> None:
-        nonlocal nodes_visited
+    while stack:
+        labels = stack.pop()
         nodes_visited += 1
         if nodes_visited > budget:
             raise ResourceCapError("complete_search", budget)
         try:
             pivot = labels.index(_UNASSIGNED)
         except ValueError:
-            # Every argument is labelled, and the last pass of propagate saw
+            # Every class is labelled, and the last pass of propagate saw
             # these final labels: IN has all attackers OUT, OUT has an IN
             # attacker, UNDEC has an UNDEC attacker and no IN one.
-            in_mask = sum(1 << i for i in range(n) if labels[i] == _IN)
-            results[in_mask] = None
-            return
-        for lab in (_IN, _OUT, _UNDEC):
+            leaves[sum(1 << i for i, lab in enumerate(labels) if lab == _IN)] = _UNDEC in labels
+            continue
+        for lab in (_UNDEC, _OUT, _IN):  # pushed in reverse, so IN is searched first
             trial = labels.copy()
             trial[pivot] = lab
-            if propagate(trial):
-                search(trial)
-
-    start = [_UNASSIGNED] * n
-    if propagate(start):
-        search(start)
-    return sorted(results, key=g.lift)
+            if _propagate(g, trial):
+                stack.append(trial)
+    return leaves
 
 
 def grounded(aaf: Aaf) -> Extension:
-    g = _Graph(aaf)
-    in_mask, _ = _grounded_mask(g)
-    return g.extension(in_mask, "grounded")
+    return extensions_for(aaf, "grounded")[0]
 
 
 def complete(aaf: Aaf, budget: int = DEFAULT_SEARCH_BUDGET) -> tuple[Extension, ...]:
-    g = _Graph(aaf)
-    return tuple(g.extension(m, "complete") for m in _complete_in_masks(g, budget))
+    return extensions_for(aaf, "complete", budget)
 
 
 def preferred(aaf: Aaf, budget: int = DEFAULT_SEARCH_BUDGET) -> tuple[Extension, ...]:
-    g = _Graph(aaf)
-    masks = _complete_in_masks(g, budget)
-    maximal = [
-        m for m in masks
-        if not any(other != m and other & m == m for other in masks)
-    ]
-    return tuple(g.extension(m, "preferred") for m in maximal)
+    return extensions_for(aaf, "preferred", budget)
 
 
 def stable(aaf: Aaf, budget: int = DEFAULT_SEARCH_BUDGET) -> tuple[Extension, ...]:
-    g = _Graph(aaf)
-    full = (1 << g.n) - 1
-    out = []
-    for m in _complete_in_masks(g, budget):
-        defeated = 0
-        for i in range(g.n):
-            if m >> i & 1:
-                defeated |= g.victims[i]
-        if m | defeated == full:
-            out.append(m)
-    return tuple(g.extension(m, "stable") for m in out)
+    return extensions_for(aaf, "stable", budget)
 
 
 def extensions_for(aaf: Aaf, semantics: str, budget: int = DEFAULT_SEARCH_BUDGET) -> tuple[Extension, ...]:
+    if semantics not in SEMANTICS:
+        raise UnknownNameError(f"unknown semantics {semantics!r}; expected one of {SEMANTICS}")
+    g = _Graph(aaf)
     if semantics == "grounded":
-        return (grounded(aaf),)
-    if semantics == "complete":
-        return complete(aaf, budget)
+        labels = [_UNASSIGNED] * g.n
+        _propagate(g, labels)
+        return (g.extension(sum(1 << i for i, lab in enumerate(labels) if lab == _IN), semantics),)
+    leaves = _complete_labellings(g, budget)
+    masks = sorted(leaves, key=g.lift)
     if semantics == "preferred":
-        return preferred(aaf, budget)
-    if semantics == "stable":
-        return stable(aaf, budget)
-    raise UnknownNameError(f"unknown semantics {semantics!r}; expected one of {SEMANTICS}")
+        masks = [m for m in masks if not any(other != m and other & m == m for other in masks)]
+    elif semantics == "stable":
+        masks = [m for m in masks if not leaves[m]]
+    return tuple(g.extension(m, semantics) for m in masks)
 
 
 @dataclass(frozen=True)
@@ -258,11 +231,15 @@ class AcceptanceReport:
     vacuous: bool = False
     diagnostic: str | None = None
 
-    def labelled(self) -> tuple[tuple[str, Extension], ...]:
+    @cached_property
+    def _labelled(self) -> tuple[tuple[str, Extension], ...]:
         return tuple((f"E{i + 1}", ext) for i, ext in enumerate(self.extensions))
 
+    def labelled(self) -> tuple[tuple[str, Extension], ...]:
+        return self._labelled
+
     def extension_labels_containing(self, argument_id: str) -> tuple[str, ...]:
-        return tuple(label for label, ext in self.labelled() if argument_id in ext.members)
+        return tuple(label for label, ext in self._labelled if argument_id in ext.members)
 
 
 def acceptance_status(aaf: Aaf, semantics: str, budget: int = DEFAULT_SEARCH_BUDGET) -> AcceptanceReport:

@@ -44,6 +44,18 @@ class TestParsing:
         with pytest.raises(AgentFileError, match=r"utf16\.json"):
             load_agent(bad)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100_000 + "]" * 100_000,
+            '{"language": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        ],
+        ids=["top-level", "language"],
+    )
+    def test_deeply_nested_json_is_a_file_error(self, text):
+        with pytest.raises(AgentFileError, match="nested too deeply"):
+            parse_agent(text)
+
     @pytest.mark.parametrize("atom", ["~p", "¬p", "!p", " p", ""])
     def test_atom_that_reads_as_another_literal_is_rejected(self, atom):
         data = {"language": {"atoms": [atom], "actions": [], "duties": []}}

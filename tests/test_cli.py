@@ -310,3 +310,11 @@ class TestDeterminismAndCodes:
         assert code == 2
         assert out == ""
         assert "'~ab' and '¬ab'" in err
+
+    def test_deeply_nested_json_exits_2(self, run, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text('{"language": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+        code, out, err = run("solve", str(path), "S1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")

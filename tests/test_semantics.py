@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from vdarg import (
     Disjunct,
     DutyVector,
     Principle,
+    ResourceCapError,
     Situation,
     TreeNode,
     UnknownNameError,
@@ -225,6 +228,23 @@ class TestClassQuotient:
         least = grounded(aaf).members
         assert extensions[0].members == least
         assert all(least <= ext.members for ext in extensions)
+
+
+class TestDeepSearch:
+    @pytest.mark.parametrize("solver", [complete, preferred, stable])
+    def test_search_depth_is_not_bounded_by_the_recursion_limit(self, solver):
+        # 200 mutually attacking pairs: 400 classes, each pair left open by
+        # propagation, so the search is 200 levels deep before any leaf.
+        aaf = make_aaf(400, {(i, i + 1) for i in range(1, 400, 2)} | {(i + 1, i) for i in range(1, 400, 2)})
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(150)
+        try:
+            with pytest.raises(ResourceCapError) as caught:
+                solver(aaf, budget=400)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert caught.value.cap == "complete_search"
+        assert caught.value.limit == 400
 
 
 def is_complete(aaf: Aaf, members: frozenset[str]) -> bool:
