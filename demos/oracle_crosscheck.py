@@ -35,7 +35,7 @@ for _ in range(100):
     agreements += 1
 print(f"  {agreements}/100 instances agree")
 
-print("Random attack graphs: labelling solver vs subset enumeration")
+print("Random attack graphs: search solver vs subset enumeration")
 agreements = 0
 for seed in range(100):
     aaf = random_aaf(seed, max_arguments=10)

@@ -147,14 +147,14 @@ def explain_situation(result: EpistemicResult) -> tuple[Explanation, ...]:
     assert aaf is not None
     order = result.build.display_order if result.build else {}
 
-    def cite(att_id: str, defenders: tuple[str, ...]) -> AttackerCitation:
+    def cite(att_id: str, defenders: frozenset[str]) -> AttackerCitation:
         att = aaf.by_id[att_id]
         return AttackerCitation(
             argument_id=att_id,
             conclusion=att.conclusion,
             premises=tuple(ordered_premises(att.premises, order)),
             extensions=report.extension_labels_containing(att_id),
-            counter_attackers=tuple(d for d in defenders if (d, att_id) in aaf.attacks),
+            counter_attackers=tuple(d for d in aaf.attackers_of[att_id] if d in defenders),
         )
 
     out: list[Explanation] = []
@@ -169,12 +169,13 @@ def explain_situation(result: EpistemicResult) -> tuple[Explanation, ...]:
         if verdict.rejecting_attacker in attacker_ids:
             attacker_ids.remove(verdict.rejecting_attacker)
             attacker_ids.insert(0, verdict.rejecting_attacker)
+        defenders = frozenset(verdict.defenders)
         expl = Explanation(
             subject=str(verdict.literal), kind="assumption", verdict=mapped,
             argument_id=verdict.argument_id,
             premises=(str(verdict.literal),),
             extensions=report.extension_labels_containing(verdict.argument_id),
-            attackers=tuple(cite(a, verdict.defenders) for a in attacker_ids),
+            attackers=tuple(cite(a, defenders) for a in attacker_ids),
             defenders=verdict.defenders,
             semantics=result.semantics,
         )

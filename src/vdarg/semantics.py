@@ -11,14 +11,19 @@ flat ABA frameworks compiled here an argument is attacked only through its
 assumptions, so this is the assumption-level semantics of flat ABA, derived
 from the attack graph alone.
 
-All four semantics are read off one three-valued labelling search
-(in/out/undec) with constraint propagation.  Grounded is the least complete
-labelling: what propagation forces from the empty labelling, with no search.
-The search labels one open class at a time, depth first over an explicit
-stack, so its depth is not bounded by Python's recursion limit; ``budget``
-counts its nodes.  Its leaves are the complete labellings; preferred are the
-maximal ones and stable the ones with nothing UNDEC.  Extensions are ordered
-by their members' positions in argument order, so output is deterministic.
+A complete extension is fixed by its IN set S: S is complete exactly when
+it is conflict-free and S = F(S), where F(S) is the set of classes that S
+defends (Caminada 2006).  So all four semantics come from one two-valued
+search that puts each class IN or not-IN, with constraint propagation.
+Grounded is the least fixpoint of F: what propagation forces from the empty
+assignment, with no search.  The search decides one open class at a time,
+IN first, depth first over an explicit stack, so its depth is not bounded
+by Python's recursion limit; ``budget`` counts its IN / not-IN nodes.  Its
+leaves are the complete extensions, each an IN set with a flag for whether
+some class is neither IN nor attacked by it (UNDEC); preferred are the
+maximal ones and stable the ones with nothing UNDEC.  Extensions are
+ordered by their members' positions in argument order, so output is
+deterministic.
 """
 
 from __future__ import annotations
@@ -31,8 +36,6 @@ from .aba import Aaf
 from .errors import ResourceCapError, UnknownNameError
 
 SEMANTICS = ("grounded", "complete", "preferred", "stable")
-
-_UNASSIGNED, _IN, _OUT, _UNDEC = 0, 1, 2, 3
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
 
@@ -90,89 +93,80 @@ class _Graph:
         return Extension(members, semantics)
 
 
-def _propagate(g: _Graph, labels: list[int]) -> bool:
-    """Apply forced moves until fixpoint; False on contradiction.
+def _propagate(g: _Graph, in_mask: int, out_mask: int, attacked: int) -> tuple[int, int, int] | None:
+    """Close an IN / not-IN assignment under its forced moves; None on contradiction.
 
-    From the empty labelling this is the grounded labelling: a class goes IN
-    once all its attackers are OUT and OUT once one of them is IN.
+    attacked is the mask of classes attacked by an IN class.  An IN class
+    makes its attackers and victims not-IN; an open class whose attackers
+    are all attacked goes IN, and a not-IN one is a contradiction.  An
+    attacker of an IN class that no IN class attacks needs an open attacker:
+    none is a contradiction, exactly one goes IN.  attacked grows with every
+    class that goes IN, because an attack it missed would read as a
+    contradiction.  From (0, 0, 0) this is the least fixpoint of F, the
+    grounded extension.
     """
-    n = g.n
     attackers = g.attackers
     victims = g.victims
-    while True:
-        in_mask = out_mask = undec_mask = 0
-        for i in range(n):
-            lab = labels[i]
-            if lab == _IN:
-                in_mask |= 1 << i
-            elif lab == _OUT:
-                out_mask |= 1 << i
-            elif lab == _UNDEC:
-                undec_mask |= 1 << i
-        unassigned = ((1 << n) - 1) & ~(in_mask | out_mask | undec_mask)
+    changed = True
+    while changed:
         changed = False
-        for i in range(n):
-            att = attackers[i]
-            lab = labels[i]
-            if lab == _UNASSIGNED:
-                if att & in_mask:
-                    labels[i] = _OUT
+        for c in range(g.n):
+            bit = 1 << c
+            att = attackers[c]
+            if in_mask & bit:
+                near = att | victims[c]
+                if near & in_mask:
+                    return None
+                if near & ~out_mask:
+                    out_mask |= near
                     changed = True
-                elif att & ~out_mask == 0:
-                    labels[i] = _IN
-                    changed = True
-            elif lab == _IN:
-                if att & (in_mask | undec_mask):
-                    return False
-                forced_out = (att | victims[i]) & unassigned
-                while forced_out:
-                    j = (forced_out & -forced_out).bit_length() - 1
-                    forced_out &= forced_out - 1
-                    labels[j] = _OUT
-                    changed = True
-            elif lab == _OUT:
-                if att & in_mask == 0 and att & ~(out_mask | undec_mask) == 0:
-                    return False  # no attacker left that could witness OUT
-            elif lab == _UNDEC:
-                if att & in_mask:
-                    return False
-                if att & ~out_mask == 0:
-                    return False  # all attackers out: would have to be IN
-                if victims[i] & in_mask:
-                    return False  # an IN victim needs all attackers out
-        if not changed:
-            return True
+                for a in _bits(att & ~attacked):
+                    if attacked >> a & 1:  # a class forced IN above attacks it
+                        continue
+                    witnesses = attackers[a] & ~(in_mask | out_mask)
+                    if not witnesses:
+                        return None
+                    if witnesses & (witnesses - 1) == 0:
+                        in_mask |= witnesses
+                        attacked |= victims[witnesses.bit_length() - 1]
+                        changed = True
+            elif att & ~attacked == 0:
+                if out_mask & bit:
+                    return None
+                in_mask |= bit
+                attacked |= victims[c]
+                changed = True
+    return in_mask, out_mask, attacked
 
 
-def _complete_labellings(g: _Graph, budget: int) -> dict[int, bool]:
-    """Every complete labelling, as its IN mask -> whether it leaves a class UNDEC.
+def _complete_extensions(g: _Graph, least: tuple[int, int, int], budget: int) -> dict[int, bool]:
+    """Every complete extension, as its IN mask -> whether a class is neither IN nor attacked.
 
-    Depth-first over an explicit stack: each node labels the first unassigned
-    class IN, OUT or UNDEC and propagates; budget bounds the nodes visited.
+    Depth-first over an explicit stack from the grounded assignment: each
+    node puts the lowest open class IN or not-IN and propagates; budget
+    bounds the nodes visited.
     """
-    if g.n == 0:
-        return {0: False}
     leaves: dict[int, bool] = {}
-    start = [_UNASSIGNED] * g.n
-    stack = [start] if _propagate(g, start) else []
+    all_classes = (1 << g.n) - 1
+    stack = [least]
     nodes_visited = 0
     while stack:
-        labels = stack.pop()
+        in_mask, out_mask, attacked = stack.pop()
         nodes_visited += 1
         if nodes_visited > budget:
             raise ResourceCapError("complete_search", budget)
-        try:
-            pivot = labels.index(_UNASSIGNED)
-        except ValueError:
-            # Every class is labelled, and the last pass of propagate saw
-            # these final labels: IN has all attackers OUT, OUT has an IN
-            # attacker, UNDEC has an UNDEC attacker and no IN one.
-            leaves[sum(1 << i for i, lab in enumerate(labels) if lab == _IN)] = _UNDEC in labels
+        open_classes = all_classes & ~(in_mask | out_mask)
+        if not open_classes:
+            # Propagation's last pass saw this assignment: IN is conflict-free
+            # and defended, and no not-IN class is defended.
+            leaves[in_mask] = all_classes & ~(in_mask | attacked) != 0
             continue
-        for lab in (_UNDEC, _OUT, _IN):  # pushed in reverse, so IN is searched first
-            trial = labels.copy()
-            trial[pivot] = lab
-            if _propagate(g, trial):
+        pivot = open_classes & -open_classes
+        for trial in (  # pushed in reverse, so IN is searched first
+            _propagate(g, in_mask, out_mask | pivot, attacked),
+            _propagate(g, in_mask | pivot, out_mask, attacked | g.victims[pivot.bit_length() - 1]),
+        ):
+            if trial is not None:
                 stack.append(trial)
     return leaves
 
@@ -197,11 +191,11 @@ def extensions_for(aaf: Aaf, semantics: str, budget: int = DEFAULT_SEARCH_BUDGET
     if semantics not in SEMANTICS:
         raise UnknownNameError(f"unknown semantics {semantics!r}; expected one of {SEMANTICS}")
     g = _Graph(aaf)
+    least = _propagate(g, 0, 0, 0)
+    assert least is not None  # the grounded extension is complete
     if semantics == "grounded":
-        labels = [_UNASSIGNED] * g.n
-        _propagate(g, labels)
-        return (g.extension(sum(1 << i for i, lab in enumerate(labels) if lab == _IN), semantics),)
-    leaves = _complete_labellings(g, budget)
+        return (g.extension(least[0], semantics),)
+    leaves = _complete_extensions(g, least, budget)
     masks = sorted(leaves, key=g.lift)
     if semantics == "preferred":
         masks = [m for m in masks if not any(other != m and other & m == m for other in masks)]

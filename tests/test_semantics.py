@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import sys
 
 import pytest
@@ -140,8 +141,14 @@ class TestStatuses:
 
 class TestOracleAgreement:
     def test_small_random_sample_matches_oracle(self):
-        for seed in range(60):
-            aaf = random_aaf(seed, max_arguments=8)
+        # The dense draws make propagation force classes IN in chains; they
+        # catch a search that reads a stale mask of attacked classes, which
+        # the sparse ones miss.
+        samples = [(seed, random_aaf(seed, max_arguments=8)) for seed in range(60)]
+        samples += [
+            (seed, random_aaf(seed, max_arguments=14, max_density=0.5)) for seed in range(10_000, 10_300)
+        ]
+        for seed, aaf in samples:
             for semantics in ("grounded", "complete", "preferred", "stable"):
                 assert members(extensions_for(aaf, semantics)) == brute_force_extensions(
                     aaf, semantics
@@ -186,6 +193,27 @@ def aafs_with_clones(draw):
     return Aaf(args, frozenset(relation))
 
 
+DENSE_DUTIES = ("d1", "d2", "d3", "d4", "d5")
+TEN_DENSE_ROWS = {
+    "a1": (2, -1, -1, -2, -2), "a2": (-2, 2, 2, 2, -1), "a3": (-1, 1, 2, -1, -1),
+    "a4": (-1, 0, 2, -1, -2), "a5": (0, 2, 0, 1, -1), "a6": (1, 2, -2, 0, 2),
+    "a7": (1, 0, 0, -2, 2), "a8": (-2, 0, 0, 2, 0), "a9": (-1, -1, -1, 2, 1),
+    "a10": (1, -1, 1, -1, 1),
+}
+
+
+def seeded_dense_rows(actions: int, seed: int) -> dict[str, tuple[int, ...]]:
+    """Duty values in [-2, 2], one row per action, each satisfying some duty."""
+    draw = random.Random(seed)
+    rows = {}
+    for a in range(actions):
+        values = [draw.randint(-2, 2) for _ in DENSE_DUTIES]
+        if not any(v >= 1 for v in values):
+            values[draw.randrange(len(DENSE_DUTIES))] = draw.randint(1, 2)
+        rows[f"a{a + 1}"] = tuple(values)
+    return rows
+
+
 class TestClassQuotient:
     @settings(max_examples=150, deadline=None)
     @given(aaf=aafs_with_clones())
@@ -195,17 +223,17 @@ class TestClassQuotient:
             expected = sorted(brute_force_extensions(aaf, semantics), key=lambda m: argument_mask(aaf, m))
             assert got == expected, semantics
 
-    def test_dense_ten_action_agent_finishes_in_a_small_budget(self):
-        # 10 actions, 5 duties; disjunct u_k asks for +1 on duty k and allows a
-        # loss of 2 on every other duty, so weak preference is dense: the
-        # framework has 47 arguments but only 10 classes of equal attackers.
-        duties = ("d1", "d2", "d3", "d4", "d5")
-        rows = {
-            "a1": (2, -1, -1, -2, -2), "a2": (-2, 2, 2, 2, -1), "a3": (-1, 1, 2, -1, -1),
-            "a4": (-1, 0, 2, -1, -2), "a5": (0, 2, 0, 1, -1), "a6": (1, 2, -2, 0, 2),
-            "a7": (1, 0, 0, -2, 2), "a8": (-2, 0, 0, 2, 0), "a9": (-1, -1, -1, 2, 1),
-            "a10": (1, -1, 1, -1, 1),
-        }
+    @pytest.mark.parametrize(
+        "rows, arguments, extensions, budget",
+        [(TEN_DENSE_ROWS, 47, 5, 50), (seeded_dense_rows(40, seed=0), 720, 3, 200)],
+        ids=["10-actions", "40-actions"],
+    )
+    def test_dense_agent_finishes_in_a_small_budget(self, rows, arguments, extensions, budget):
+        # 5 duties; disjunct u_k asks for +1 on duty k and allows a loss of 2
+        # on every other duty, so weak preference is dense: the frameworks
+        # have many arguments but at most one class of equal attackers per
+        # action.
+        duties = DENSE_DUTIES
         agent = VdaAgent(
             language=VdaLanguage(("p",), tuple(rows), duties),
             situations={"R": Situation.from_perceptions(("p",), ["p"])},
@@ -219,15 +247,15 @@ class TestClassQuotient:
         )
         build = practical_framework(agent, "R")
         aaf, _ = evaluate(build.framework, "X", build.relevant, "grounded")
-        assert len(aaf.arguments) == 47
+        assert len(aaf.arguments) == arguments
 
-        extensions = complete(aaf, budget=1_000)
-        assert len(extensions) == 5
-        for ext in extensions:
+        found = complete(aaf, budget=budget)
+        assert len(found) == extensions
+        for ext in found:
             assert is_complete(aaf, ext.members)
         least = grounded(aaf).members
-        assert extensions[0].members == least
-        assert all(least <= ext.members for ext in extensions)
+        assert found[0].members == least
+        assert all(least <= ext.members for ext in found)
 
 
 class TestDeepSearch:
