@@ -7,17 +7,19 @@ principle: an ordered collection of lower-bound vectors (disjuncts).
 
 Action a is weakly preferred to action b under a disjunct when every
 componentwise differential of their duty vectors meets that disjunct's lower
-bound.  Strict preference holds when some disjunct covers the forward
-differential and none covers the backward one.  Solutions are the actions
-that can head a total ordering of the matrix with no strict-preference
-inversion; with an acyclic strict relation these are exactly the
-undominated actions.
+bound.  The relation is computed once per matrix over positional duty rows,
+with the duty lists checked once per call.  Strict preference holds when
+some disjunct covers the forward differential and none covers the backward
+one.  Solutions are the actions that can head a total ordering of the
+matrix with no strict-preference inversion; with an acyclic strict relation
+these are exactly the undominated actions.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from operator import ge, sub
 
 from .errors import (
     SchemaError,
@@ -352,14 +354,24 @@ def strictly_prefers(matrix: ActionMatrix, principle: Principle, alpha: str, bet
 
 
 def weak_preference_pairs(matrix: ActionMatrix, principle: Principle) -> dict[tuple[str, str], tuple[str, ...]]:
-    """Map (alpha, beta) -> qualifying disjunct ids, over all ordered pairs of distinct actions."""
-    actions = list(matrix.vectors.keys())
+    """Map (alpha, beta) -> prefers(matrix, principle, alpha, beta), over all
+    ordered pairs of distinct actions that some disjunct qualifies."""
+    if len(matrix.vectors) < 2:
+        return {}
+    first, *others = matrix.vectors.values()
+    for v in others:
+        duty_differential(first, v)
+    for u in principle:
+        meets_lower_bounds(first.values, u)
+    rows = {a: tuple(v.values.values()) for a, v in matrix.vectors.items()}
+    bound_rows = [(u.id, tuple(u.bounds[d] for d in first.values)) for u in principle]
     out: dict[tuple[str, str], tuple[str, ...]] = {}
-    for a in actions:
-        for b in actions:
+    for a, row_a in rows.items():
+        for b, row_b in rows.items():
             if a == b:
                 continue
-            ids = prefers(matrix, principle, a, b)
+            w = tuple(map(sub, row_a, row_b))
+            ids = tuple(uid for uid, lows in bound_rows if all(map(ge, w, lows)))
             if ids:
                 out[(a, b)] = ids
     return out
@@ -492,10 +504,7 @@ def _ordering_from_pairs(
     remaining = set(actions)
     picked: list[str] = []
     while remaining:
-        candidates = [
-            a for a in remaining
-            if not any(a in strict[b] for b in remaining if b != a)
-        ]
+        candidates = remaining.difference(*(strict[b] for b in remaining))
         if not candidates:
             break
         choice = min(candidates, key=priority.index)

@@ -57,7 +57,7 @@ def explain_action(result: PracticalResult, action: str) -> Explanation:
     agent = build.agent
     if action not in agent.language.actions:
         raise UnknownNameError(f"unknown action {action!r}")
-    duty_names = dict(agent.duty_names) or {d: d for d in agent.language.duties}
+    duty_names = {d: d for d in agent.language.duties} | dict(agent.duty_names)
 
     matrix = agent.matrix_for(build.situation_id)
     principle = agent.require_principle()

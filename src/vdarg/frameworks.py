@@ -23,11 +23,8 @@ from dataclasses import dataclass
 from . import core
 from .aba import AbaFramework, Aaf, Argument, Rule, compute_attacks, derive_arguments, to_aaf
 from .core import (
-    ActionMatrix,
-    Disjunct,
     EpistemicSpec,
     Literal,
-    Principle,
     Situation,
     VdaAgent,
     check_sentence_names,
@@ -65,16 +62,6 @@ class PracticalBuild:
     weak_preference: Mapping[tuple[str, str], tuple[str, ...]]  # as core.weak_preference_pairs
 
 
-def _tightest(principle: Principle, disjunct_ids: Sequence[str]) -> Disjunct:
-    """The qualifying disjunct with the greatest total lower bound; ties go to
-    the earliest disjunct in principle order."""
-    ranked = sorted(
-        disjunct_ids,
-        key=lambda uid: (-sum(principle.by_id(uid).bounds.values()), principle.index_of(uid)),
-    )
-    return principle.by_id(ranked[0])
-
-
 def practical_framework(agent: VdaAgent, situation_id: str) -> PracticalBuild:
     """Build the practical-reasoning framework for one situation."""
     matrix = agent.matrix_for(situation_id)
@@ -107,6 +94,8 @@ def practical_framework(agent: VdaAgent, situation_id: str) -> PracticalBuild:
             add_rule(a, (vector_of[a],), RuleInfo("action", action=a))
 
     weak = core.weak_preference_pairs(matrix, principle)
+    # The tightest qualifying disjunct: greatest total bound, earliest on ties.
+    rank = {u.id: (-sum(u.bounds.values()), i) for i, u in enumerate(principle)}
     for target in actions:
         if target not in qualifying_set:
             continue  # only assumptions have contraries to conclude
@@ -114,11 +103,11 @@ def practical_framework(agent: VdaAgent, situation_id: str) -> PracticalBuild:
             ids = weak.get((source, target))
             if not ids:
                 continue
-            chosen = _tightest(principle, ids)
+            chosen = min(ids, key=rank.__getitem__)
             add_rule(
                 negation_of[target],
-                (chosen.id, vector_of[source]),
-                RuleInfo("principle", disjunct=chosen.id, source=source, target=target),
+                (chosen, vector_of[source]),
+                RuleInfo("principle", disjunct=chosen, source=source, target=target),
             )
 
     assumptions = tuple(vector_of[a] for a in actions if a in qualifying_set)
@@ -314,11 +303,11 @@ def analyze_epistemic(
     perceptions: Sequence[str],
     semantics: str = "grounded",
 ) -> EpistemicResult:
-    atom_set = set(spec.atoms)
-    unknown = set(perceptions) - atom_set
+    perception_set = set(perceptions)
+    unknown = perception_set - set(spec.atoms)
     if unknown:
         raise SchemaError(f"perceptions outside the atom set: {sorted(unknown)}")
-    ordered_p = tuple(a for a in spec.atoms if a in set(perceptions))
+    ordered_p = tuple(a for a in spec.atoms if a in perception_set)
 
     if not spec.assumptions:
         # Identity stage: nothing to adjudicate.

@@ -63,24 +63,17 @@ class _Graph:
 
     def __init__(self, aaf: Aaf):
         self.ids = aaf.ids
-        index = aaf.index
-        argument_attackers = [0] * len(self.ids)
-        for src, dst in aaf.attacks:
-            argument_attackers[index[dst]] |= 1 << index[src]
-        classes: dict[int, list[int]] = {}
-        for i, mask in enumerate(argument_attackers):
-            classes.setdefault(mask, []).append(i)
+        classes: dict[tuple[str, ...], list[int]] = {}
+        for i, arg_id in enumerate(self.ids):
+            classes.setdefault(aaf.attackers_of[arg_id], []).append(i)
         self.members = list(classes.values())
-        class_of = {i: c for c, members in enumerate(self.members) for i in members}
-        n = len(self.members)
-        self.n = n
+        class_of = {self.ids[i]: c for c, members in enumerate(self.members) for i in members}
+        n = self.n = len(self.members)
         self.lifted = [sum(1 << i for i in members) for members in self.members]
         self.attackers = [0] * n
         self.victims = [0] * n
-        for c, mask in enumerate(classes):
-            while mask:
-                d = class_of[(mask & -mask).bit_length() - 1]
-                mask &= ~self.lifted[d]
+        for c, key in enumerate(classes):
+            for d in {class_of[a] for a in key}:
                 self.attackers[c] |= 1 << d
                 self.victims[d] |= 1 << c
 

@@ -140,6 +140,16 @@ class TestExplain:
         assert "subject: lb" in out
         assert "subject: ¬ab" in out
 
+    def test_partial_duty_table_shows_unnamed_duties_by_id(self, run, tmp_path, eldercare_path):
+        data = json.loads(eldercare_path.read_text(encoding="utf-8"))
+        del data["duty_names"]["MMR"]
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, _ = run("explain", str(path), "S1", "charge")
+        assert code == 0
+        assert "satisfying MMR with degree 1 (MMR:1)" in out
+        assert "minimize harm to patient" in out
+
     def test_action_and_situation_flags_conflict(self, run, eldercare_path):
         code, _, err = run("explain", str(eldercare_path), "S1", "warn", "--situation")
         assert code == 2

@@ -23,10 +23,12 @@ from vdarg import (
     duty_differential,
     ethical_ordering,
     meets_lower_bounds,
+    practical_framework,
     prefers,
     solution_report,
     solutions,
     strictly_prefers,
+    weak_preference_pairs,
 )
 
 DUTIES = ("MHC", "MMR", "mH2P", "MG2P", "mNI", "MRA", "MPPI")
@@ -126,6 +128,72 @@ class TestPreference:
     def test_self_comparison_rejected(self, s1_matrix, principle):
         with pytest.raises(SelfComparisonError):
             strictly_prefers(s1_matrix, principle, "warn", "warn")
+
+
+class TestWeakPreferencePairs:
+    @staticmethod
+    def _per_pair(matrix, principle):
+        return {
+            (a, b): ids
+            for a, b in permutations(matrix.vectors, 2)
+            if (ids := prefers(matrix, principle, a, b))
+        }
+
+    def test_equals_prefers_over_every_ordered_pair(self):
+        # Some disjuncts list their duties in another order: the bound rows
+        # are indexed by the vectors' duty names, not by bound position.
+        rng = random.Random(7)
+        duties = ("d1", "d2", "d3", "d4")
+        for n_actions in (0, 1, 2, 3, 6):
+            for _ in range(25):
+                actions = [f"a{i}" for i in range(n_actions)]
+                matrix = ActionMatrix("R", {
+                    a: DutyVector(a, {d: rng.randint(-2, 2) for d in duties}) for a in actions
+                })
+                disjuncts = []
+                for i in range(rng.randint(1, 4)):
+                    order = rng.sample(duties, len(duties))
+                    disjuncts.append(Disjunct(f"u{i}", {d: rng.randint(-4, 1) for d in order}))
+                principle = Principle(tuple(disjuncts))
+                assert weak_preference_pairs(matrix, principle) == self._per_pair(matrix, principle)
+
+    def test_eldercare_matrices(self, eldercare):
+        for matrix in eldercare.matrices.values():
+            pairs = weak_preference_pairs(matrix, eldercare.principle)
+            assert pairs == self._per_pair(matrix, eldercare.principle)
+
+    def test_fewer_than_two_actions_need_no_check(self):
+        # No pair is compared, so a disjunct over other duties goes unchecked.
+        stray = Principle((Disjunct("u1", {"x": 0}),))
+        assert weak_preference_pairs(ActionMatrix("R", {}), stray) == {}
+        assert weak_preference_pairs(ActionMatrix("R", {"a": _vec("a", (0,) * 7)}), stray) == {}
+
+
+def _mismatched_agents():
+    duties = ("d1", "d2")
+    swapped = {"a": {"d1": 1, "d2": 0}, "b": {"d2": 0, "d1": 1}}
+    missing = {"a": {"d1": 1, "d2": 0}, "b": {"d1": 1}}
+    even = {"a": {"d1": 1, "d2": 0}, "b": {"d1": 0, "d2": 1}}
+    short_bound = Principle((Disjunct("u1", {"d1": -4}),))
+    full_bound = Principle((Disjunct("u1", {"d1": -4, "d2": -4}),))
+    cases = [(swapped, full_bound), (missing, full_bound), (even, short_bound)]
+    for rows, principle in cases:
+        yield VdaAgent(
+            language=VdaLanguage(("p1",), ("a", "b"), duties),
+            situations={"R": Situation.from_perceptions(("p1",), ())},
+            matrices={"R": ActionMatrix("R", {a: DutyVector(a, v) for a, v in rows.items()})},
+            principle=principle,
+        )
+
+
+@pytest.mark.parametrize("agent", _mismatched_agents(), ids=["order", "missing", "disjunct"])
+def test_duty_list_mismatch_in_code_built_agents(agent):
+    with pytest.raises(SchemaError, match="duty list mismatch"):
+        weak_preference_pairs(agent.matrices["R"], agent.principle)
+    with pytest.raises(SchemaError, match="duty list mismatch"):
+        solution_report(agent, "R")
+    with pytest.raises(SchemaError, match="duty list mismatch"):
+        practical_framework(agent, "R")
 
 
 @settings(max_examples=200, deadline=None)

@@ -114,6 +114,53 @@ class TestPracticalGeneration:
                     expected = bool(prefers(matrix, principle, a, b))
                     assert ((a, b) in covered) == expected
 
+    def test_principle_rules_cite_the_tightest_disjunct(self, eldercare):
+        # The qualifying disjunct with the greatest total bound; the earliest
+        # in principle order among those.
+        principle = eldercare.principle
+        order = [u.id for u in principle]
+        total = {u.id: sum(u.bounds.values()) for u in principle}
+        for sid in eldercare.matrices:
+            build = practical_framework(eldercare, sid)
+            for info in build.rule_info.values():
+                if info.kind != "principle":
+                    continue
+                ids = build.weak_preference[(info.source, info.target)]
+                best = max(total[uid] for uid in ids)
+                assert info.disjunct == min(
+                    (uid for uid in ids if total[uid] == best), key=order.index
+                )
+
+    @pytest.mark.parametrize("reverse_ids", [False, True])
+    def test_equal_totals_go_to_the_earliest_disjunct(self, monkeypatch, reverse_ids):
+        # u1 is looser (total -4); u2 and u3 tie at -2.  Reversing the ids that
+        # weak preference lists shows that principle order, not list order,
+        # breaks the tie.
+        from vdarg import core
+        if reverse_ids:
+            pairs = core.weak_preference_pairs
+            monkeypatch.setattr(core, "weak_preference_pairs", lambda m, p: {
+                key: ids[::-1] for key, ids in pairs(m, p).items()
+            })
+        duties = ("d1", "d2")
+        rows = {"a": (2, 1), "b": (1, 1)}
+        bounds = [(-2, -2), (-1, -1), (0, -2)]
+        agent = VdaAgent(
+            language=VdaLanguage(("p",), ("a", "b"), duties),
+            situations={"R": Situation.from_perceptions(("p",), ())},
+            matrices={"R": ActionMatrix("R", {
+                k: DutyVector(k, dict(zip(duties, row))) for k, row in rows.items()
+            })},
+            principle=Principle(tuple(
+                Disjunct(f"u{i + 1}", dict(zip(duties, b))) for i, b in enumerate(bounds)
+            )),
+        )
+        build = practical_framework(agent, "R")
+        listed = ("u1", "u2", "u3")
+        assert build.weak_preference[("a", "b")] == (listed[::-1] if reverse_ids else listed)
+        cited = [info.disjunct for info in build.rule_info.values() if info.source == "a"]
+        assert cited == ["u2"]
+
     def test_argument_count_formula_on_s1(self, eldercare):
         result = analyze_practical(eldercare, "S1")
         principle_rules = [
