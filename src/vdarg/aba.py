@@ -14,6 +14,13 @@ skipped a rule below the sentence (a branch sentence below it would put it on
 a rule cycle, where the guard fires), or a leaf below it is an axiom that
 heads a rule (a leaf in proofs, but a branch at the top level).  The top
 level applies only rules whose head is kept; other heads are sub-proofs only.
+While it runs, a proof is a tree and two integer masks: bit i of the leaf
+mask is the i-th leaf sentence (the assumptions in declaration order, then
+the axioms, sorted) and bit i of the rule mask is the i-th rule.  Combining
+proofs ORs their masks, and two proofs of a sentence are the same argument
+when their masks are equal, since no sentence is both an assumption and an
+axiom.  The support, premise and rule sets are built only for the kept
+arguments, once each, and arguments with the same leaves share their sets.
 
 An argument attacks another when its conclusion is the contrary of an
 assumption in the other's support.  Only flat frameworks are supported: no
@@ -71,6 +78,9 @@ def validate_framework(framework: AbaFramework) -> AbaFramework:
         raise SchemaError(f"assumptions outside the language: {sorted(dangling)}")
     if framework.axioms - framework.language:
         raise SchemaError("axioms outside the language")
+    both = framework.assumption_set & framework.axioms
+    if both:
+        raise SchemaError(f"sentences both assumption and axiom: {sorted(both)}")
     for a in framework.assumptions:
         if a not in framework.contraries:
             raise TotalityError(f"assumption {a!r} has no contrary")
@@ -115,12 +125,17 @@ class Argument:
         return (self.conclusion, self.support, self.rules_used)
 
 
-@dataclass(frozen=True)
-class _Proof:
-    tree: TreeNode
-    support: frozenset[str]
-    premises: frozenset[str]
-    rules_used: frozenset[str]
+_Proof = tuple[TreeNode, int, int]  # (tree, leaf mask, rule mask)
+
+
+def _names(mask: int, names: Sequence[str]) -> frozenset[str]:
+    """The names at the set bits of mask: bit i stands for names[i]."""
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(names[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(found)
 
 
 def derive_arguments(
@@ -141,6 +156,8 @@ def derive_arguments(
     """
     validate_framework(framework)
     keep = None if keep_conclusions is None else frozenset(keep_conclusions)
+    leaves = framework.assumptions + tuple(sorted(framework.axioms))
+    leaf_bit = {s: 1 << i for i, s in enumerate(leaves)}
     memo: dict[str, tuple[list[_Proof], int]] = {}  # sentence -> (proofs, call height)
 
     def proofs_for(sentence: str, path: frozenset[str], depth: int) -> tuple[list[_Proof], int, bool]:
@@ -155,22 +172,20 @@ def derive_arguments(
         if depth > max_depth:
             raise ResourceCapError("max_depth", max_depth)
         if sentence in framework.assumption_set:
-            leaf = TreeNode(sentence)
-            return [_Proof(leaf, frozenset({sentence}), frozenset({sentence}), frozenset())], 0, False
+            return [(TreeNode(sentence), leaf_bit[sentence], 0)], 0, False
         if sentence in framework.axioms:
             # An axiom that heads a rule is on the branch of that rule at the
             # top level, where the guard skips every rule naming it.
-            leaf = TreeNode(sentence)
             on_some_branch = sentence in framework.rules_by_head
-            return [_Proof(leaf, frozenset(), frozenset({sentence}), frozenset())], 0, on_some_branch
+            return [(TreeNode(sentence), leaf_bit[sentence], 0)], 0, on_some_branch
         out: list[_Proof] = []
         height, guarded = 0, False
-        for _, rule in framework.rules_by_head.get(sentence, ()):
+        for i, rule in framework.rules_by_head.get(sentence, ()):
             if any(b in path for b in rule.body):
                 guarded = True  # cycle guard: a branch never repeats a sentence
                 continue
             child_options, rule_height, rule_guarded = _children(rule, path, depth)
-            out.extend(_combine(rule, child_options))
+            out.extend(_combine(rule, 1 << i, child_options))
             height = max(height, rule_height)
             guarded = guarded or rule_guarded
         if not guarded:
@@ -187,40 +202,48 @@ def derive_arguments(
             guarded = guarded or child_guarded
         return options, height, guarded
 
-    def _combine(rule: Rule, child_options: list[list[_Proof]]) -> Iterator[_Proof]:
+    def _combine(rule: Rule, rule_bit: int, child_options: list[list[_Proof]]) -> Iterator[_Proof]:
         for parts in product(*child_options):
-            tree = TreeNode(rule.head, rule.id, tuple(p.tree for p in parts))
-            support = frozenset().union(*(p.support for p in parts)) if parts else frozenset()
-            premises = frozenset().union(*(p.premises for p in parts)) if parts else frozenset()
-            rules_used = frozenset({rule.id}).union(*(p.rules_used for p in parts))
-            yield _Proof(tree, support, premises, rules_used)
+            leaf_mask, rule_mask = 0, rule_bit
+            for _, part_leaves, part_rules in parts:
+                leaf_mask |= part_leaves
+                rule_mask |= part_rules
+            yield TreeNode(rule.head, rule.id, tuple(p[0] for p in parts)), leaf_mask, rule_mask
 
-    collected: dict[tuple, tuple[str, _Proof]] = {}
+    collected: dict[tuple[str, int, int], TreeNode] = {}  # (conclusion, leaves, rules) -> tree
 
     def add(conclusion: str, proof: _Proof) -> None:
         if keep is not None and conclusion not in keep:
             return
-        key = (conclusion, proof.support, proof.rules_used)
+        tree, leaf_mask, rule_mask = proof
+        key = (conclusion, leaf_mask, rule_mask)
         if key in collected:
             return
-        collected[key] = (conclusion, proof)
+        collected[key] = tree
         if len(collected) > max_arguments:
             raise ResourceCapError("max_arguments", max_arguments)
 
     for a in framework.assumptions:
-        leaf = TreeNode(a)
-        add(a, _Proof(leaf, frozenset({a}), frozenset({a}), frozenset()))
-    for rule in framework.rules:
+        add(a, (TreeNode(a), leaf_bit[a], 0))
+    for i, rule in enumerate(framework.rules):
         if keep is not None and rule.head not in keep:
             continue
         child_options = _children(rule, frozenset({rule.head}), 1)[0]
-        for proof in _combine(rule, child_options):  # one at a time, so max_arguments bounds the work
+        for proof in _combine(rule, 1 << i, child_options):  # one at a time, so max_arguments bounds the work
             add(rule.head, proof)
 
-    return tuple(
-        Argument(f"{label}{i + 1}", conclusion, p.support, p.premises, p.rules_used, p.tree)
-        for i, (conclusion, p) in enumerate(collected.values())
-    )
+    rule_ids = tuple(rule.id for rule in framework.rules)
+    assumption_mask = (1 << len(framework.assumptions)) - 1
+    leaf_sets: dict[int, tuple[frozenset[str], frozenset[str]]] = {}  # leaf mask -> (support, premises)
+    arguments = []
+    for i, ((conclusion, leaf_mask, rule_mask), tree) in enumerate(collected.items()):
+        sets = leaf_sets.get(leaf_mask)
+        if sets is None:
+            premises = _names(leaf_mask, leaves)
+            support = premises if leaf_mask <= assumption_mask else _names(leaf_mask & assumption_mask, leaves)
+            sets = leaf_sets[leaf_mask] = (support, premises)
+        arguments.append(Argument(f"{label}{i + 1}", conclusion, *sets, _names(rule_mask, rule_ids), tree))
+    return tuple(arguments)
 
 
 def compute_attacks(
@@ -270,10 +293,28 @@ class Aaf:
     @cached_property
     def attackers_of(self) -> Mapping[str, tuple[str, ...]]:
         """Each argument's attackers, listed in argument order."""
-        attackers: dict[str, list[str]] = {arg_id: [] for arg_id in self.ids}
+        victims: dict[str, list[str]] = {}
         for src, dst in self.attacks:
-            attackers[dst].append(src)
-        return {arg_id: tuple(sorted(lst, key=self.index.__getitem__)) for arg_id, lst in attackers.items()}
+            victims.setdefault(src, []).append(dst)
+        attackers: dict[str, list[str]] = {arg_id: [] for arg_id in self.ids}
+        for src in self.ids:  # sources in argument order, so every list comes out sorted
+            for dst in victims.get(src, ()):
+                attackers[dst].append(src)
+        return {arg_id: tuple(lst) for arg_id, lst in attackers.items()}
+
+    @cached_property
+    def classes(self) -> tuple[tuple[tuple[str, ...], tuple[int, ...]], ...]:
+        """Arguments grouped by identical attackers: each class's attacker
+        tuple and its members' positions, classes ordered by first member."""
+        groups: dict[tuple[str, ...], list[int]] = {}
+        for i, arg_id in enumerate(self.ids):
+            groups.setdefault(self.attackers_of[arg_id], []).append(i)
+        return tuple((key, tuple(members)) for key, members in groups.items())
+
+    @cached_property
+    def class_of(self) -> Mapping[str, int]:
+        """Each argument's position in classes."""
+        return {self.ids[i]: c for c, (_, members) in enumerate(self.classes) for i in members}
 
     def argument(self, argument_id: str) -> Argument:
         return self.by_id[argument_id]

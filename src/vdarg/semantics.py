@@ -9,7 +9,8 @@ Lifting is injective and monotone, so the least (grounded), the maximal
 (preferred) and the undecided-free (stable) ones correspond as well.  In the
 flat ABA frameworks compiled here an argument is attacked only through its
 assumptions, so this is the assumption-level semantics of flat ABA, derived
-from the attack graph alone.
+from the attack graph alone.  The classes are ``Aaf.classes``; acceptance
+statuses are decided once per class too.
 
 A complete extension is fixed by its IN set S: S is complete exactly when
 it is conflict-free and S = F(S), where F(S) is the set of classes that S
@@ -63,16 +64,13 @@ class _Graph:
 
     def __init__(self, aaf: Aaf):
         self.ids = aaf.ids
-        classes: dict[tuple[str, ...], list[int]] = {}
-        for i, arg_id in enumerate(self.ids):
-            classes.setdefault(aaf.attackers_of[arg_id], []).append(i)
-        self.members = list(classes.values())
-        class_of = {self.ids[i]: c for c, members in enumerate(self.members) for i in members}
+        self.members = [members for _, members in aaf.classes]
+        class_of = aaf.class_of
         n = self.n = len(self.members)
         self.lifted = [sum(1 << i for i in members) for members in self.members]
         self.attackers = [0] * n
         self.victims = [0] * n
-        for c, key in enumerate(classes):
+        for c, (key, _) in enumerate(aaf.classes):
             for d in {class_of[a] for a in key}:
                 self.attackers[c] |= 1 << d
                 self.victims[d] |= 1 << c
@@ -248,22 +246,26 @@ def acceptance_status(aaf: Aaf, semantics: str, budget: int = DEFAULT_SEARCH_BUD
             semantics, exts, statuses, vacuous=True,
             diagnostic=f"{semantics} semantics yielded no extensions; statuses are vacuous",
         )
+    # Members of a class share their attackers and their extensions, so
+    # each class gets one verdict, read off its first member.
     member_sets = [ext.members for ext in exts]
-    in_all = {arg_id: all(arg_id in s for s in member_sets) for arg_id in ids}
-    in_some = {arg_id: any(arg_id in s for s in member_sets) for arg_id in ids}
-
-    statuses = {}
-    for arg_id in ids:
-        attackers = aaf.attackers_of[arg_id]
-        if in_all[arg_id]:
+    firsts = [ids[members[0]] for _, members in aaf.classes]
+    in_all = [all(first in s for s in member_sets) for first in firsts]
+    in_some = [any(first in s for s in member_sets) for first in firsts]
+    class_of = aaf.class_of
+    verdicts = []
+    for c, (attackers, _) in enumerate(aaf.classes):
+        attacker_classes = {class_of[a] for a in attackers}
+        if in_all[c]:
             status = "skeptically-justified"
-        elif in_some[arg_id]:
+        elif in_some[c]:
             status = "credulously-justified"
-        elif any(in_all[a] for a in attackers):
+        elif any(in_all[d] for d in attacker_classes):
             status = "skeptically-rejected"
-        elif any(in_some[a] and not in_all[a] for a in attackers):
+        elif any(in_some[d] and not in_all[d] for d in attacker_classes):
             status = "credulously-rejected"
         else:
             status = "undecided"
-        statuses[arg_id] = ArgumentStatus(arg_id, status, in_all[arg_id], in_some[arg_id])
+        verdicts.append((status, in_all[c], in_some[c]))
+    statuses = {arg_id: ArgumentStatus(arg_id, *verdicts[class_of[arg_id]]) for arg_id in ids}
     return AcceptanceReport(semantics, exts, statuses)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import product
 
@@ -65,6 +66,20 @@ def test_assumption_as_rule_head_is_a_flatness_error():
     )
     with pytest.raises(FlatnessError):
         validate_framework(fw)
+
+
+def test_assumption_that_is_also_an_axiom_is_a_schema_error():
+    fw = AbaFramework(
+        language=frozenset({"a", "na", "s"}),
+        rules=(Rule("r1", "s", ("a",)),),
+        assumptions=("a",),
+        contraries={"a": "na"},
+        axioms=frozenset({"a"}),
+    )
+    with pytest.raises(SchemaError, match="both assumption and axiom"):
+        validate_framework(fw)
+    with pytest.raises(SchemaError):
+        derive_arguments(fw)
 
 
 def test_dangling_sentence_is_a_schema_error():
@@ -453,3 +468,41 @@ def test_axiom_that_heads_a_rule_cycle():
         caps = dict(max_depth=max_depth, max_arguments=100, keep_conclusions=None)
         assert production_arguments(fw, **caps) == reference_arguments(fw, **caps)
     assert [a.conclusion for a in derive_arguments(fw, max_depth=3)] == ["a", "s4", "s0", "s6"]
+
+
+def wide_mask_framework(seed: int) -> AbaFramework:
+    """20 assumptions, 6 axioms and 331 rules in a seeded order, so that leaf
+    masks run past 16 bits and rule masks past 300.  30 lower sentences have
+    ten rules each over at most two leaves; 10 upper sentences chain on a
+    lower one and a leaf; six rules derive a lower sentence from an upper
+    one, closing cycles for the guard."""
+    rng = random.Random(seed)
+    assumptions = [f"a{i}" for i in range(20)]
+    axioms = [f"x{i}" for i in range(6)]
+    lower = [f"s{i}" for i in range(30)]
+    upper = [f"t{i}" for i in range(10)]
+    leaves = assumptions + axioms
+    shapes = [(lower[i % 30], tuple(rng.sample(leaves, rng.randint(0, 2)))) for i in range(300)]
+    shapes += [(upper[i % 10], (rng.choice(lower), rng.choice(leaves))) for i in range(25)]
+    shapes += [(rng.choice(lower), (rng.choice(upper),)) for _ in range(6)]
+    rng.shuffle(shapes)
+    return AbaFramework(
+        language=frozenset(leaves + lower + upper),
+        rules=tuple(Rule(f"r{i}", head, body) for i, (head, body) in enumerate(shapes)),
+        assumptions=tuple(assumptions),
+        contraries={a: rng.choice(lower + upper) for a in assumptions},
+        axioms=frozenset(axioms),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_wide_masks_match_the_reference_derivation(seed):
+    fw = wide_mask_framework(seed)
+    caps = dict(max_depth=64, max_arguments=100_000, keep_conclusions=None)
+    got = production_arguments(fw, **caps)
+    assert got == reference_arguments(fw, **caps)
+    cycle_rules = {r.id for r in fw.rules if r.head.startswith("s") and r.body[:1] and r.body[0].startswith("t")}
+    assert any(rules_used & cycle_rules for _, _, _, _, rules_used, _ in got)
+    assert any(premises & {"a16", "a17", "a18", "a19"} and premises != support
+               for _, _, support, premises, _, _ in got)
+    assert max(int(r[1:]) for _, _, _, _, rules_used, _ in got for r in rules_used) >= 300

@@ -13,6 +13,7 @@ from vdarg import (
     ActionMatrix,
     Aaf,
     Argument,
+    ArgumentStatus,
     Disjunct,
     DutyVector,
     Principle,
@@ -256,6 +257,76 @@ class TestClassQuotient:
         least = grounded(aaf).members
         assert found[0].members == least
         assert all(least <= ext.members for ext in found)
+
+
+def reference_attackers(aaf: Aaf) -> dict[str, tuple[str, ...]]:
+    """Each argument's attackers, sorted by argument position."""
+    return {
+        arg_id: tuple(sorted((src for src, dst in aaf.attacks if dst == arg_id), key=aaf.index.__getitem__))
+        for arg_id in aaf.ids
+    }
+
+
+def reference_statuses(aaf: Aaf, semantics: str) -> dict[str, ArgumentStatus]:
+    """One status per argument, each from its own attackers: the loop that
+    acceptance_status ran before it decided one status per class."""
+    exts = extensions_for(aaf, semantics)
+    if not exts:
+        return {arg_id: ArgumentStatus(arg_id, "vacuous", False, False) for arg_id in aaf.ids}
+    member_sets = [ext.members for ext in exts]
+    in_all = {arg_id: all(arg_id in s for s in member_sets) for arg_id in aaf.ids}
+    in_some = {arg_id: any(arg_id in s for s in member_sets) for arg_id in aaf.ids}
+    attackers = reference_attackers(aaf)
+    statuses = {}
+    for arg_id in aaf.ids:
+        if in_all[arg_id]:
+            status = "skeptically-justified"
+        elif in_some[arg_id]:
+            status = "credulously-justified"
+        elif any(in_all[a] for a in attackers[arg_id]):
+            status = "skeptically-rejected"
+        elif any(in_some[a] and not in_all[a] for a in attackers[arg_id]):
+            status = "credulously-rejected"
+        else:
+            status = "undecided"
+        statuses[arg_id] = ArgumentStatus(arg_id, status, in_all[arg_id], in_some[arg_id])
+    return statuses
+
+
+def assert_index_matches_the_reference(aaf: Aaf) -> int:
+    """Check attackers_of, classes and every semantics' statuses; return the
+    number of semantics with vacuous statuses."""
+    attackers = reference_attackers(aaf)
+    assert aaf.attackers_of == attackers
+    positions = [i for _, members in aaf.classes for i in members]
+    assert sorted(positions) == list(range(len(aaf.ids)))
+    assert [members[0] for _, members in aaf.classes] == sorted(members[0] for _, members in aaf.classes)
+    for key, members in aaf.classes:
+        assert list(members) == sorted(members)
+        assert all(attackers[aaf.ids[i]] == key for i in members)
+    assert len({key for key, _ in aaf.classes}) == len(aaf.classes)
+    vacuous = 0
+    for semantics in SEMANTICS:
+        report = acceptance_status(aaf, semantics)
+        expected = reference_statuses(aaf, semantics)
+        assert list(report.statuses) == list(aaf.ids)
+        assert report.statuses == expected, semantics
+        assert report.vacuous == (not report.extensions)
+        vacuous += report.vacuous
+    return vacuous
+
+
+class TestIndex:
+    def test_random_aafs_match_the_per_argument_reference(self):
+        samples = [random_aaf(seed, max_arguments=12) for seed in range(150)]
+        samples += [random_aaf(seed, max_arguments=14, max_density=0.5) for seed in range(10_000, 10_050)]
+        vacuous = sum(assert_index_matches_the_reference(aaf) for aaf in samples)
+        assert vacuous > 0  # stable without extensions is in the sample
+
+    @settings(max_examples=150, deadline=None)
+    @given(aaf=aafs_with_clones())
+    def test_cloned_aafs_match_the_per_argument_reference(self, aaf):
+        assert_index_matches_the_reference(aaf)
 
 
 class TestDeepSearch:
