@@ -11,6 +11,7 @@ Run:  python3 demos/nixon_diamond.py
 from pathlib import Path
 
 from vdarg import (
+    Aaf,
     acceptance_status,
     compute_attacks,
     derive_arguments,
@@ -18,7 +19,6 @@ from vdarg import (
     extensions_for,
     load_agent,
     render_argument,
-    to_aaf,
 )
 
 scenario = Path(__file__).resolve().parent.parent / "scenarios" / "nixon.json"
@@ -26,7 +26,7 @@ agent = load_agent(scenario)
 
 build = epistemic_framework(agent.epistemic)
 arguments = derive_arguments(build.framework, label="Y", keep_conclusions=build.relevant)
-aaf = to_aaf(arguments, compute_attacks(arguments, build.framework))
+aaf = Aaf(arguments, compute_attacks(arguments, build.framework))
 
 print("Arguments:")
 for arg in aaf.arguments:

@@ -23,8 +23,9 @@ axiom.  The support, premise and rule sets are built only for the kept
 arguments, once each, and arguments with the same leaves share their sets.
 
 An argument attacks another when its conclusion is the contrary of an
-assumption in the other's support.  Only flat frameworks are supported: no
-assumption may head a rule.
+assumption in the other's support.  ``Aaf`` stores each argument's attackers
+in argument order and derives the set of attack pairs from them.  Only flat
+frameworks are supported: no assumption may head a rule.
 """
 
 from __future__ import annotations
@@ -119,10 +120,6 @@ class Argument:
     premises: frozenset[str]  # support plus axiom leaves, as displayed
     rules_used: frozenset[str]
     tree: TreeNode
-
-    @property
-    def identity(self) -> tuple[str, frozenset[str], frozenset[str]]:
-        return (self.conclusion, self.support, self.rules_used)
 
 
 _Proof = tuple[TreeNode, int, int]  # (tree, leaf mask, rule mask)
@@ -249,33 +246,41 @@ def derive_arguments(
 def compute_attacks(
     arguments: Sequence[Argument],
     framework: AbaFramework,
-) -> frozenset[tuple[str, str]]:
-    """(X, Y) iff X's conclusion is the contrary of an assumption in Y's support."""
-    targets_by_contrary: dict[str, list[str]] = {}
+) -> dict[str, tuple[str, ...]]:
+    """Each argument's attackers, in argument order: X attacks Y iff X's
+    conclusion is the contrary of an assumption in Y's support."""
+    attackers: dict[str, list[str]] = {}
+    targets_by_contrary: dict[str, list[list[str]]] = {}  # contrary -> the attacker lists it fills
     for arg in arguments:
-        for a in arg.support:
-            targets_by_contrary.setdefault(framework.contraries[a], []).append(arg.id)
-    attacks = set()
-    for arg in arguments:
+        target = attackers[arg.id] = []
+        try:
+            wanted = {framework.contraries[a] for a in arg.support}  # distinct, so an attacker is listed once
+        except KeyError as missing:
+            raise SchemaError(f"argument {arg.id!r}: {missing.args[0]!r} is not an assumption") from None
+        for contrary in wanted:
+            targets_by_contrary.setdefault(contrary, []).append(target)
+    for arg in arguments:  # sources in argument order, so every list comes out sorted
         for target in targets_by_contrary.get(arg.conclusion, ()):
-            attacks.add((arg.id, target))
-    return frozenset(attacks)
+            target.append(arg.id)
+    return {arg_id: tuple(lst) for arg_id, lst in attackers.items()}
 
 
 @dataclass(frozen=True)
 class Aaf:
-    """Abstract argumentation framework: indexed arguments plus an attack relation."""
+    """Abstract argumentation framework: indexed arguments and each one's attackers, in argument order."""
 
     arguments: tuple[Argument, ...]
-    attacks: frozenset[tuple[str, str]]
+    attackers_of: Mapping[str, tuple[str, ...]]
 
     def __post_init__(self):
         ids = {a.id for a in self.arguments}
         if len(ids) != len(self.arguments):
             raise SchemaError("duplicate argument ids")
-        for src, dst in self.attacks:
-            if src not in ids or dst not in ids:
-                raise SchemaError(f"attack ({src!r}, {dst!r}) references an unknown argument")
+        if self.attackers_of.keys() != ids:
+            raise SchemaError("the attackers must be listed for exactly the argument ids")
+        unknown = set().union(*self.attackers_of.values()) - ids
+        if unknown:
+            raise SchemaError(f"attackers {sorted(unknown)} are unknown arguments")
 
     @cached_property
     def by_id(self) -> Mapping[str, Argument]:
@@ -291,16 +296,9 @@ class Aaf:
         return {arg_id: i for i, arg_id in enumerate(self.ids)}
 
     @cached_property
-    def attackers_of(self) -> Mapping[str, tuple[str, ...]]:
-        """Each argument's attackers, listed in argument order."""
-        victims: dict[str, list[str]] = {}
-        for src, dst in self.attacks:
-            victims.setdefault(src, []).append(dst)
-        attackers: dict[str, list[str]] = {arg_id: [] for arg_id in self.ids}
-        for src in self.ids:  # sources in argument order, so every list comes out sorted
-            for dst in victims.get(src, ()):
-                attackers[dst].append(src)
-        return {arg_id: tuple(lst) for arg_id, lst in attackers.items()}
+    def attacks(self) -> frozenset[tuple[str, str]]:
+        """The attack relation as (attacker, attacked) id pairs."""
+        return frozenset((src, dst) for dst, srcs in self.attackers_of.items() for src in srcs)
 
     @cached_property
     def classes(self) -> tuple[tuple[tuple[str, ...], tuple[int, ...]], ...]:
@@ -311,17 +309,19 @@ class Aaf:
             groups.setdefault(self.attackers_of[arg_id], []).append(i)
         return tuple((key, tuple(members)) for key, members in groups.items())
 
-    @cached_property
-    def class_of(self) -> Mapping[str, int]:
-        """Each argument's position in classes."""
-        return {self.ids[i]: c for c, (_, members) in enumerate(self.classes) for i in members}
-
     def argument(self, argument_id: str) -> Argument:
         return self.by_id[argument_id]
 
 
 def to_aaf(arguments: Sequence[Argument], attacks: Iterable[tuple[str, str]]) -> Aaf:
-    return Aaf(tuple(arguments), frozenset(attacks))
+    """The Aaf of (attacker, attacked) id pairs; a repeated pair counts once."""
+    attackers: dict[str, set[str]] = {a.id: set() for a in arguments}
+    for src, dst in attacks:
+        if src not in attackers or dst not in attackers:
+            raise SchemaError(f"attack ({src!r}, {dst!r}) references an unknown argument")
+        attackers[dst].add(src)
+    order = {a.id: i for i, a in enumerate(arguments)}
+    return Aaf(tuple(arguments), {dst: tuple(sorted(srcs, key=order.get)) for dst, srcs in attackers.items()})
 
 
 def ordered_premises(premises: Iterable[str], premise_order: Mapping[str, int] | None = None) -> list[str]:

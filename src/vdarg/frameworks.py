@@ -21,7 +21,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from . import core
-from .aba import AbaFramework, Aaf, Argument, Rule, compute_attacks, derive_arguments, to_aaf
+from .aba import AbaFramework, Aaf, Argument, Rule, compute_attacks, derive_arguments
 from .core import (
     EpistemicSpec,
     Literal,
@@ -166,7 +166,7 @@ def evaluate(
     """Derive the arguments concluding a relevant sentence, their attacks, and
     every argument's acceptance status under one semantics."""
     arguments = derive_arguments(framework, label=label, keep_conclusions=relevant)
-    aaf = to_aaf(arguments, compute_attacks(arguments, framework))
+    aaf = Aaf(arguments, compute_attacks(arguments, framework))
     return aaf, acceptance_status(aaf, semantics)
 
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from itertools import permutations
 
-from .aba import Aaf, Argument, TreeNode
+from .aba import Aaf, Argument, TreeNode, to_aaf
 from .core import (
     ActionMatrix,
     Disjunct,
@@ -161,7 +161,7 @@ def random_aaf(seed: int, max_arguments: int = 12, max_density: float = 0.4,
                 continue
             if rng.random() < density:
                 attacks.add((f"A{i + 1}", f"A{j + 1}"))
-    return Aaf(args, frozenset(attacks))
+    return to_aaf(args, attacks)
 
 
 @dataclass(frozen=True)

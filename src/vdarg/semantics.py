@@ -65,7 +65,7 @@ class _Graph:
     def __init__(self, aaf: Aaf):
         self.ids = aaf.ids
         self.members = [members for _, members in aaf.classes]
-        class_of = aaf.class_of
+        class_of = {self.ids[i]: c for c, members in enumerate(self.members) for i in members}
         n = self.n = len(self.members)
         self.lifted = [sum(1 << i for i in members) for members in self.members]
         self.attackers = [0] * n
@@ -249,23 +249,22 @@ def acceptance_status(aaf: Aaf, semantics: str, budget: int = DEFAULT_SEARCH_BUD
     # Members of a class share their attackers and their extensions, so
     # each class gets one verdict, read off its first member.
     member_sets = [ext.members for ext in exts]
-    firsts = [ids[members[0]] for _, members in aaf.classes]
-    in_all = [all(first in s for s in member_sets) for first in firsts]
-    in_some = [any(first in s for s in member_sets) for first in firsts]
-    class_of = aaf.class_of
-    verdicts = []
-    for c, (attackers, _) in enumerate(aaf.classes):
-        attacker_classes = {class_of[a] for a in attackers}
-        if in_all[c]:
+    in_all = frozenset.intersection(*member_sets)
+    in_some = frozenset.union(*member_sets)
+    credulous_only = in_some - in_all
+    verdicts = {}  # argument position -> (status, in_all, in_some)
+    for attackers, members in aaf.classes:
+        first = ids[members[0]]
+        if first in in_all:
             status = "skeptically-justified"
-        elif in_some[c]:
+        elif first in in_some:
             status = "credulously-justified"
-        elif any(in_all[d] for d in attacker_classes):
+        elif not in_all.isdisjoint(attackers):
             status = "skeptically-rejected"
-        elif any(in_some[d] and not in_all[d] for d in attacker_classes):
+        elif not credulous_only.isdisjoint(attackers):
             status = "credulously-rejected"
         else:
             status = "undecided"
-        verdicts.append((status, in_all[c], in_some[c]))
-    statuses = {arg_id: ArgumentStatus(arg_id, *verdicts[class_of[arg_id]]) for arg_id in ids}
+        verdicts.update(dict.fromkeys(members, (status, first in in_all, first in in_some)))
+    statuses = {arg_id: ArgumentStatus(arg_id, *verdicts[i]) for i, arg_id in enumerate(ids)}
     return AcceptanceReport(semantics, exts, statuses)

@@ -7,10 +7,11 @@ from dataclasses import dataclass
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from vdarg import (
+    Aaf,
     AbaFramework,
     FlatnessError,
     ResourceCapError,
@@ -130,7 +131,8 @@ def test_nixon_attacks():
     relevant = set(fw.assumptions) | set(fw.contraries.values())
     args = derive_arguments(fw, label="Y", keep_conclusions=relevant)
     attacks = compute_attacks(args, fw)
-    assert attacks == frozenset({("Y4", "Y1"), ("Y4", "Y3"), ("Y3", "Y2"), ("Y3", "Y4")})
+    assert attacks == {"Y1": ("Y4",), "Y2": ("Y3",), "Y3": ("Y4",), "Y4": ("Y3",)}
+    assert Aaf(args, attacks).attacks == frozenset({("Y4", "Y1"), ("Y4", "Y3"), ("Y3", "Y2"), ("Y3", "Y4")})
 
 
 def test_disjoint_supports_and_plain_conclusions_do_not_attack():
@@ -141,7 +143,7 @@ def test_disjoint_supports_and_plain_conclusions_do_not_attack():
         contraries={"a": "na", "b": "nb"},
     )
     args = derive_arguments(fw)
-    assert compute_attacks(args, fw) == frozenset()
+    assert compute_attacks(args, fw) == {a.id: () for a in args}
 
 
 def test_attacks_recomputed_from_stored_trees_match():
@@ -162,7 +164,7 @@ def test_attacks_recomputed_from_stored_trees_match():
             assert support == set(y.support)
             if any(fw.contraries[a] == x.conclusion for a in support):
                 recomputed.add((x.id, y.id))
-    assert recomputed == set(attacks)
+    assert recomputed == Aaf(args, attacks).attacks
 
 
 def test_axioms_are_premises_but_not_support():
@@ -253,6 +255,41 @@ def test_aaf_rejects_unknown_attack_endpoints():
     args = derive_arguments(fw)
     with pytest.raises(SchemaError):
         to_aaf(args, {("Y1", "ghost")})
+    attackers = {a.id: () for a in args}
+    with pytest.raises(SchemaError, match="ghost"):
+        Aaf(args, {**attackers, args[0].id: ("ghost",)})
+    with pytest.raises(SchemaError, match="exactly the argument ids"):
+        Aaf(args, {**attackers, "ghost": ()})
+    with pytest.raises(SchemaError, match="exactly the argument ids"):
+        Aaf(args, {a.id: () for a in args[1:]})
+    with pytest.raises(SchemaError, match="duplicate"):
+        Aaf(args + args[:1], attackers)
+
+
+def test_an_attacker_on_two_assumptions_with_one_contrary_is_listed_once():
+    fw = AbaFramework(
+        language=frozenset({"a", "b", "n", "p"}),
+        rules=(Rule("r1", "p", ("a", "b")), Rule("r2", "n")),
+        assumptions=("a", "b"),
+        contraries={"a": "n", "b": "n"},
+    )
+    args = derive_arguments(fw)
+    assert [(a.id, a.conclusion, sorted(a.support)) for a in args] == [
+        ("A1", "a", ["a"]), ("A2", "b", ["b"]), ("A3", "p", ["a", "b"]), ("A4", "n", []),
+    ]
+    assert compute_attacks(args, fw) == {"A1": ("A4",), "A2": ("A4",), "A3": ("A4",), "A4": ()}
+
+
+def test_support_outside_the_framework_is_a_schema_error():
+    args = derive_arguments(nixon_framework(), label="Y")
+    other = AbaFramework(
+        language=frozenset({"x", "nx"}),
+        rules=(),
+        assumptions=("x",),
+        contraries={"x": "nx"},
+    )
+    with pytest.raises(SchemaError, match="'asm_p'"):
+        compute_attacks(args, other)
 
 
 def test_max_depth_cap_ignores_heads_that_are_not_kept():
@@ -417,6 +454,28 @@ def test_shared_proofs_match_the_reference_derivation(framework, keep_mask, max_
     assert derivation_outcome(production_arguments, framework, **caps) == derivation_outcome(
         reference_arguments, framework, **caps
     )
+
+
+def reference_attacks(arguments, framework):
+    """X attacks Y iff X's conclusion is a contrary of an assumption in Y's
+    support, checked for every pair; attackers in argument order."""
+    return {
+        y.id: tuple(x.id for x in arguments if x.conclusion in {framework.contraries[a] for a in y.support})
+        for y in arguments
+    }
+
+
+@settings(max_examples=400, deadline=None)
+@given(framework=flat_frameworks(), keep_mask=st.one_of(st.none(), st.integers(0, 255)))
+def test_attackers_match_the_all_pairs_definition(framework, keep_mask):
+    keep = None if keep_mask is None else {f"s{i}" for i in range(8) if keep_mask >> i & 1}
+    try:
+        args = derive_arguments(framework, max_arguments=500, keep_conclusions=keep)
+    except ResourceCapError:
+        reject()
+    attacks = compute_attacks(args, framework)
+    assert list(attacks) == [a.id for a in args]
+    assert attacks == reference_attacks(args, framework)
 
 
 def test_sentence_below_a_rule_cycle():

@@ -50,12 +50,12 @@ def test_criterion_1_eldercare_s1(eldercare_path):
 @pytest.mark.acceptance(2, "Nixon diamond semantics")
 def test_criterion_2_nixon(nixon_path):
     from vdarg import acceptance_status, epistemic_framework
-    from vdarg.aba import compute_attacks, derive_arguments, to_aaf
+    from vdarg.aba import Aaf, compute_attacks, derive_arguments
 
     agent = load_agent(nixon_path)
     build = epistemic_framework(agent.epistemic)
     args = derive_arguments(build.framework, label="Y", keep_conclusions=build.relevant)
-    aaf = to_aaf(args, compute_attacks(args, build.framework))
+    aaf = Aaf(args, compute_attacks(args, build.framework))
 
     assert len(aaf.arguments) == 4
     grounded_exts = {e.members for e in extensions_for(aaf, "grounded")}

@@ -176,3 +176,18 @@ class TestRendering:
     def test_identity_duty_table_is_the_default(self, s1_result):
         e = explain_action(s1_result, "charge")
         assert render_text(e, None)  # falls back to duty ids
+
+
+class TestAttackPairsStayOffTheDecidePath:
+    """Deciding and explaining read each argument's attackers; the pair set
+    Aaf.attacks is built only for the readers that print or brute-force it."""
+
+    def test_practical_decision_and_explanations(self, eldercare):
+        result = analyze_practical(eldercare, "S1")
+        explain_all_actions(result)
+        assert "attacks" not in vars(result.aaf)
+
+    def test_epistemic_decision_and_explanation(self, eldercare):
+        result = analyze_epistemic(eldercare.epistemic, sorted(eldercare.situation("S2").positives))
+        explain_situation(result)
+        assert "attacks" not in vars(result.aaf)

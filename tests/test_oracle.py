@@ -62,12 +62,12 @@ class TestBruteForceSolutions:
 class TestBruteForceExtensions:
     def test_nixon_complete_count(self):
         aaf = random_aaf(0)  # placeholder; replaced below with the fixed graph
-        from vdarg import Aaf, Argument, TreeNode
+        from vdarg import Argument, TreeNode, to_aaf
         args = tuple(
             Argument(f"Y{i}", f"s{i}", frozenset(), frozenset(), frozenset(), TreeNode(f"s{i}"))
             for i in range(1, 5)
         )
-        aaf = Aaf(args, frozenset({("Y4", "Y1"), ("Y4", "Y3"), ("Y3", "Y2"), ("Y3", "Y4")}))
+        aaf = to_aaf(args, {("Y4", "Y1"), ("Y4", "Y3"), ("Y3", "Y2"), ("Y3", "Y4")})
         assert len(brute_force_extensions(aaf, "complete")) == 3
         assert brute_force_extensions(aaf, "grounded") == {frozenset()}
 

@@ -30,10 +30,15 @@ from vdarg import (
     practical_framework,
     preferred,
     stable,
+    to_aaf,
 )
 from vdarg.frameworks import evaluate
 from vdarg.oracle import brute_force_extensions, random_aaf
 from vdarg.semantics import SEMANTICS
+
+
+def placeholder(name: str) -> Argument:
+    return Argument(name, name, frozenset(), frozenset(), frozenset(), TreeNode(name))
 
 
 def make_aaf(n: int, attacks: set[tuple[int, int]]) -> Aaf:
@@ -41,7 +46,7 @@ def make_aaf(n: int, attacks: set[tuple[int, int]]) -> Aaf:
         Argument(f"A{i}", f"s{i}", frozenset(), frozenset(), frozenset(), TreeNode(f"s{i}"))
         for i in range(1, n + 1)
     )
-    return Aaf(args, frozenset((f"A{i}", f"A{j}") for i, j in attacks))
+    return to_aaf(args, ((f"A{i}", f"A{j}") for i, j in attacks))
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +182,8 @@ def aafs_with_clones(draw):
     """A random AAF whose arguments are then cloned: each clone is attacked
     by exactly the attackers of its original, and attacks some of the
     original's victims, so that classes of arguments with equal attackers
-    have several members.  The arguments come out in a shuffled order."""
+    have several members.  The arguments come out in a shuffled order.
+    Returns the framework and the attack pairs it was built from."""
     k = draw(st.integers(1, 5), label="originals")
     sizes = [draw(st.integers(1, 3), label=f"copies of C{c}") for c in range(k)]
     pairs = [(d, c) for d in range(k) for c in range(k)]
@@ -190,8 +196,7 @@ def aafs_with_clones(draw):
         )
         relation.update((src, dst) for src in sources for dst in names[c])
     order = draw(st.permutations([name for group in names for name in group]), label="order")
-    args = tuple(Argument(name, name, frozenset(), frozenset(), frozenset(), TreeNode(name)) for name in order)
-    return Aaf(args, frozenset(relation))
+    return to_aaf(tuple(placeholder(name) for name in order), relation), relation
 
 
 DENSE_DUTIES = ("d1", "d2", "d3", "d4", "d5")
@@ -217,8 +222,9 @@ def seeded_dense_rows(actions: int, seed: int) -> dict[str, tuple[int, ...]]:
 
 class TestClassQuotient:
     @settings(max_examples=150, deadline=None)
-    @given(aaf=aafs_with_clones())
-    def test_extensions_equal_the_oracle_in_argument_order(self, aaf):
+    @given(case=aafs_with_clones())
+    def test_extensions_equal_the_oracle_in_argument_order(self, case):
+        aaf, _ = case
         for semantics in SEMANTICS:
             got = [ext.members for ext in extensions_for(aaf, semantics)]
             expected = sorted(brute_force_extensions(aaf, semantics), key=lambda m: argument_mask(aaf, m))
@@ -259,15 +265,16 @@ class TestClassQuotient:
         assert all(least <= ext.members for ext in found)
 
 
-def reference_attackers(aaf: Aaf) -> dict[str, tuple[str, ...]]:
-    """Each argument's attackers, sorted by argument position."""
+def reference_attackers(aaf: Aaf, relation) -> dict[str, tuple[str, ...]]:
+    """Each argument's attackers in the pair relation the framework was built
+    from, sorted by argument position."""
     return {
-        arg_id: tuple(sorted((src for src, dst in aaf.attacks if dst == arg_id), key=aaf.index.__getitem__))
+        arg_id: tuple(sorted({src for src, dst in relation if dst == arg_id}, key=aaf.index.__getitem__))
         for arg_id in aaf.ids
     }
 
 
-def reference_statuses(aaf: Aaf, semantics: str) -> dict[str, ArgumentStatus]:
+def reference_statuses(aaf: Aaf, relation, semantics: str) -> dict[str, ArgumentStatus]:
     """One status per argument, each from its own attackers: the loop that
     acceptance_status ran before it decided one status per class."""
     exts = extensions_for(aaf, semantics)
@@ -276,7 +283,7 @@ def reference_statuses(aaf: Aaf, semantics: str) -> dict[str, ArgumentStatus]:
     member_sets = [ext.members for ext in exts]
     in_all = {arg_id: all(arg_id in s for s in member_sets) for arg_id in aaf.ids}
     in_some = {arg_id: any(arg_id in s for s in member_sets) for arg_id in aaf.ids}
-    attackers = reference_attackers(aaf)
+    attackers = reference_attackers(aaf, relation)
     statuses = {}
     for arg_id in aaf.ids:
         if in_all[arg_id]:
@@ -293,11 +300,13 @@ def reference_statuses(aaf: Aaf, semantics: str) -> dict[str, ArgumentStatus]:
     return statuses
 
 
-def assert_index_matches_the_reference(aaf: Aaf) -> int:
-    """Check attackers_of, classes and every semantics' statuses; return the
-    number of semantics with vacuous statuses."""
-    attackers = reference_attackers(aaf)
+def assert_index_matches_the_reference(aaf: Aaf, relation) -> int:
+    """Check attackers_of, classes and every semantics' statuses against the
+    pair relation the framework was built from; return the number of
+    semantics with vacuous statuses."""
+    attackers = reference_attackers(aaf, relation)
     assert aaf.attackers_of == attackers
+    assert aaf.attacks == frozenset(relation)
     positions = [i for _, members in aaf.classes for i in members]
     assert sorted(positions) == list(range(len(aaf.ids)))
     assert [members[0] for _, members in aaf.classes] == sorted(members[0] for _, members in aaf.classes)
@@ -308,7 +317,7 @@ def assert_index_matches_the_reference(aaf: Aaf) -> int:
     vacuous = 0
     for semantics in SEMANTICS:
         report = acceptance_status(aaf, semantics)
-        expected = reference_statuses(aaf, semantics)
+        expected = reference_statuses(aaf, relation, semantics)
         assert list(report.statuses) == list(aaf.ids)
         assert report.statuses == expected, semantics
         assert report.vacuous == (not report.extensions)
@@ -316,17 +325,37 @@ def assert_index_matches_the_reference(aaf: Aaf) -> int:
     return vacuous
 
 
+def random_relation(seed: int, max_arguments: int, max_density: float = 0.4) -> tuple[Aaf, list[tuple[str, str]]]:
+    """A random framework, self-attacks included, with its arguments in a
+    shuffled order; returns it and the attack pairs it was built from."""
+    rng = random.Random(seed)
+    names = [f"A{i + 1}" for i in range(rng.randint(1, max_arguments))]
+    density = rng.uniform(0.0, max_density)
+    relation = [(src, dst) for src in names for dst in names if rng.random() < density]
+    rng.shuffle(names)
+    return to_aaf(tuple(placeholder(name) for name in names), relation), relation
+
+
 class TestIndex:
     def test_random_aafs_match_the_per_argument_reference(self):
-        samples = [random_aaf(seed, max_arguments=12) for seed in range(150)]
-        samples += [random_aaf(seed, max_arguments=14, max_density=0.5) for seed in range(10_000, 10_050)]
-        vacuous = sum(assert_index_matches_the_reference(aaf) for aaf in samples)
+        samples = [random_relation(seed, max_arguments=12) for seed in range(150)]
+        samples += [random_relation(seed, max_arguments=14, max_density=0.5) for seed in range(10_000, 10_050)]
+        vacuous = sum(assert_index_matches_the_reference(aaf, relation) for aaf, relation in samples)
         assert vacuous > 0  # stable without extensions is in the sample
 
     @settings(max_examples=150, deadline=None)
-    @given(aaf=aafs_with_clones())
-    def test_cloned_aafs_match_the_per_argument_reference(self, aaf):
-        assert_index_matches_the_reference(aaf)
+    @given(case=aafs_with_clones())
+    def test_cloned_aafs_match_the_per_argument_reference(self, case):
+        assert_index_matches_the_reference(*case)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_to_aaf_drops_repeated_pairs_and_orders_attackers_by_argument(self, seed):
+        pairs = [("A2", "A1"), ("A3", "A1"), ("A1", "A1"), ("A3", "A2")] * 2
+        random.Random(seed).shuffle(pairs)
+        aaf = to_aaf(tuple(placeholder(name) for name in ("A3", "A1", "A2")), pairs)
+        assert aaf.attackers_of == {"A3": (), "A1": ("A3", "A1", "A2"), "A2": ("A3",)}
+        assert aaf.attacks == frozenset(pairs)
+        assert_index_matches_the_reference(aaf, pairs)
 
 
 class TestDeepSearch:
