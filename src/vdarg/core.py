@@ -7,8 +7,10 @@ principle: an ordered collection of lower-bound vectors (disjuncts).
 
 Action a is weakly preferred to action b under a disjunct when every
 componentwise differential of their duty vectors meets that disjunct's lower
-bound.  The relation is computed once per matrix over positional duty rows,
-with the duty lists checked once per call.  Strict preference holds when
+bound.  The relation is computed once per matrix, with the duty lists
+checked once per call: per duty, one cumulative bitmask of action positions
+per distinct value, so the actions one action prefers under a disjunct are
+one mask AND per duty.  Strict preference holds when
 some disjunct covers the forward differential and none covers the backward
 one.  Solutions are the actions that can head a total ordering of the
 matrix with no strict-preference inversion; with an acyclic strict relation
@@ -17,9 +19,11 @@ these are exactly the undominated actions.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from operator import ge, sub
+from heapq import heapify, heappop, heappush
 
 from .errors import (
     SchemaError,
@@ -355,7 +359,15 @@ def strictly_prefers(matrix: ActionMatrix, principle: Principle, alpha: str, bet
 
 def weak_preference_pairs(matrix: ActionMatrix, principle: Principle) -> dict[tuple[str, str], tuple[str, ...]]:
     """Map (alpha, beta) -> prefers(matrix, principle, alpha, beta), over all
-    ordered pairs of distinct actions that some disjunct qualifies."""
+    ordered pairs of distinct actions that some disjunct qualifies.
+
+    Keys come alpha-major, both in matrix order; ids in principle order.
+    Action a weakly prefers b under u when b's value of every duty k is at
+    most a's value minus u's bound on k.  So per duty the column's distinct
+    values are sorted and each gets the mask of actions valued at most it;
+    the actions a prefers under u are the AND over the duties of the mask
+    that a bisect finds for a's threshold, minus a itself.
+    """
     if len(matrix.vectors) < 2:
         return {}
     first, *others = matrix.vectors.values()
@@ -363,17 +375,37 @@ def weak_preference_pairs(matrix: ActionMatrix, principle: Principle) -> dict[tu
         duty_differential(first, v)
     for u in principle:
         meets_lower_bounds(first.values, u)
-    rows = {a: tuple(v.values.values()) for a, v in matrix.vectors.items()}
+    actions = list(matrix.vectors)
+    rows = [tuple(v.values.values()) for v in matrix.vectors.values()]
     bound_rows = [(u.id, tuple(u.bounds[d] for d in first.values)) for u in principle]
+    columns = []
+    for column in zip(*rows):
+        with_value: dict[int, int] = {}
+        for i, x in enumerate(column):
+            with_value[x] = with_value.get(x, 0) | 1 << i
+        values = sorted(with_value)
+        # at_most[j]: the actions valued at most values[j - 1]; at_most[0] is none.
+        at_most = [0]
+        for x in values:
+            at_most.append(at_most[-1] | with_value[x])
+        columns.append((values, at_most))
+    everyone = (1 << len(actions)) - 1
     out: dict[tuple[str, str], tuple[str, ...]] = {}
-    for a, row_a in rows.items():
-        for b, row_b in rows.items():
-            if a == b:
-                continue
-            w = tuple(map(sub, row_a, row_b))
-            ids = tuple(uid for uid, lows in bound_rows if all(map(ge, w, lows)))
-            if ids:
-                out[(a, b)] = ids
+    for i, (a, row) in enumerate(zip(actions, rows)):
+        preferred = []
+        for uid, lows in bound_rows:
+            mask = everyone ^ 1 << i
+            for (values, at_most), x, low in zip(columns, row, lows):
+                mask &= at_most[bisect_right(values, x - low)]
+            if mask:
+                preferred.append((uid, mask))
+        remaining = 0
+        for _, mask in preferred:
+            remaining |= mask
+        while remaining:
+            bit = remaining & -remaining
+            remaining ^= bit
+            out[(a, actions[bit.bit_length() - 1])] = tuple(uid for uid, mask in preferred if mask & bit)
     return out
 
 
@@ -385,11 +417,11 @@ def strict_preference_graph(matrix: ActionMatrix, principle: Principle) -> dict[
 def _strict_graph(
     actions: Iterable[str], weak: Mapping[tuple[str, str], tuple[str, ...]]
 ) -> dict[str, frozenset[str]]:
-    actions = list(actions)
-    return {
-        a: frozenset(b for b in actions if b != a and (a, b) in weak and (b, a) not in weak)
-        for a in actions
-    }
+    beaten: dict[str, list[str]] = {a: [] for a in actions}
+    for a, b in weak:
+        if (b, a) not in weak:
+            beaten[a].append(b)
+    return {a: frozenset(bs) for a, bs in beaten.items()}
 
 
 def _find_cycle(graph: Mapping[str, frozenset[str]]) -> tuple[str, ...] | None:
@@ -497,19 +529,26 @@ def _ordering_from_pairs(
         priority = sorted(actions)
     else:
         priority = list(tie_break)
-        if set(priority) != set(actions):
+        if Counter(priority) != Counter(actions):
             raise SchemaError("tie_break must be a permutation of the matrix's actions")
     strict = _strict_graph(actions, weak)
 
-    remaining = set(actions)
+    # Kahn's topological sort, taking the undominated action of least rank.
+    rank = {a: i for i, a in enumerate(priority)}
+    dominators = dict.fromkeys(actions, 0)
+    for targets in strict.values():
+        for b in targets:
+            dominators[b] += 1
+    ready = [rank[a] for a in actions if not dominators[a]]
+    heapify(ready)
     picked: list[str] = []
-    while remaining:
-        candidates = remaining.difference(*(strict[b] for b in remaining))
-        if not candidates:
-            break
-        choice = min(candidates, key=priority.index)
+    while ready:
+        choice = priority[heappop(ready)]
         picked.append(choice)
-        remaining.discard(choice)
+        for b in strict[choice]:
+            dominators[b] -= 1
+            if not dominators[b]:
+                heappush(ready, rank[b])
 
     steps = tuple(
         OrderingStep(action, weak.get((action, following), ()))
@@ -517,5 +556,5 @@ def _ordering_from_pairs(
     )
     if picked:
         steps += (OrderingStep(picked[-1], ()),)
-    stuck = tuple(sorted(remaining)) if remaining else None
+    stuck = tuple(sorted(set(actions).difference(picked))) or None
     return OrderingReport(steps, stuck)

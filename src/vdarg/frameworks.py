@@ -96,14 +96,16 @@ def practical_framework(agent: VdaAgent, situation_id: str) -> PracticalBuild:
     weak = core.weak_preference_pairs(matrix, principle)
     # The tightest qualifying disjunct: greatest total bound, earliest on ties.
     rank = {u.id: (-sum(u.bounds.values()), i) for i, u in enumerate(principle)}
+    # Only assumptions have contraries to conclude.  The map's keys come in
+    # matrix order, so each target's sources are put back in language order.
+    position = {a: i for i, a in enumerate(actions)}
+    sources: dict[str, list[str]] = {}
+    for source, target in weak:
+        if target in qualifying_set:
+            sources.setdefault(target, []).append(source)
     for target in actions:
-        if target not in qualifying_set:
-            continue  # only assumptions have contraries to conclude
-        for source in actions:
-            ids = weak.get((source, target))
-            if not ids:
-                continue
-            chosen = min(ids, key=rank.__getitem__)
+        for source in sorted(sources.get(target, ()), key=position.__getitem__):
+            chosen = min(weak[(source, target)], key=rank.__getitem__)
             add_rule(
                 negation_of[target],
                 (chosen, vector_of[source]),

@@ -10,6 +10,7 @@ no backward cover), which the oracle recomputes from raw vectors.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -22,7 +23,6 @@ from .core import (
     Situation,
     VdaAgent,
     VdaLanguage,
-    weak_preference_pairs,
 )
 from .errors import ResourceCapError, SchemaError
 
@@ -34,6 +34,18 @@ def _covers(bounds: dict[str, int], diff: dict[str, int]) -> bool:
     return all(diff[d] >= b for d, b in bounds.items())
 
 
+def _weak_relation(matrix: ActionMatrix, principle: Principle) -> set[tuple[str, str]]:
+    """Every ordered pair of distinct actions that some disjunct covers."""
+    rows = {a: dict(v.values) for a, v in matrix.vectors.items()}
+    bounds = [dict(u.bounds) for u in principle]
+
+    def weak(a: str, b: str) -> bool:
+        diff = {d: rows[a][d] - rows[b][d] for d in rows[a]}
+        return any(_covers(u, diff) for u in bounds)
+
+    return {(a, b) for a in rows for b in rows if a != b and weak(a, b)}
+
+
 def brute_force_solutions(agent: VdaAgent, situation_id: str) -> frozenset[str]:
     """First elements of every total order with no strict-preference inversion."""
     matrix = agent.matrix_for(situation_id)
@@ -42,15 +54,9 @@ def brute_force_solutions(agent: VdaAgent, situation_id: str) -> frozenset[str]:
     if len(actions) > MAX_ORACLE_ACTIONS:
         raise ResourceCapError("max_oracle_actions", MAX_ORACLE_ACTIONS)
 
-    rows = {a: dict(matrix.vector(a).values) for a in actions}
-    bounds = [dict(u.bounds) for u in principle]
-
-    def weak(a: str, b: str) -> bool:
-        diff = {d: rows[a][d] - rows[b][d] for d in rows[a]}
-        return any(_covers(u, diff) for u in bounds)
-
+    weak = _weak_relation(matrix, principle)
     strict = {
-        (a, b): weak(a, b) and not weak(b, a)
+        (a, b): (a, b) in weak and (b, a) not in weak
         for a in actions for b in actions if a != b
     }
 
@@ -187,8 +193,8 @@ class RandomVdaSpec:
             raise SchemaError(f"unknown assumption policy {self.assumption_policy!r}")
 
 
-def _transitive(weak: dict[tuple[str, str], tuple[str, ...]], actions: list[str]) -> bool:
-    related = {pair for pair in weak}
+def _transitive(weak: Iterable[tuple[str, str]], actions: list[str]) -> bool:
+    related = set(weak)
     for a in actions:
         for b in actions:
             if a == b or (a, b) not in related:
@@ -208,8 +214,7 @@ def random_vda(spec: RandomVdaSpec) -> tuple[VdaAgent, str]:
         agent, sid = _generate(spec, attempt)
         if not spec.order_inducing:
             return agent, sid
-        weak = weak_preference_pairs(agent.matrices[sid], agent.principle)
-        if _transitive(weak, list(agent.language.actions)):
+        if _transitive(_weak_relation(agent.matrices[sid], agent.principle), list(agent.language.actions)):
             return agent, sid
         attempt += 1
         if attempt > 10_000:

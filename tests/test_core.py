@@ -162,6 +162,34 @@ class TestWeakPreferencePairs:
             pairs = weak_preference_pairs(matrix, eldercare.principle)
             assert pairs == self._per_pair(matrix, eldercare.principle)
 
+    @pytest.mark.parametrize("n_actions", [0, 1, 2, 5, 63, 64, 65, 90])
+    def test_equals_prefers_at_every_size(self, n_actions):
+        # Bounds in [-6, 3] against values in [-2, 2] put some thresholds
+        # below a column's minimum and some above its maximum; 63-65 actions
+        # straddle a 64-bit word.  The key order is pinned, not just the map.
+        rng = random.Random(n_actions)
+        below = above = 0
+        for _ in range(3):
+            duties = tuple(f"d{i}" for i in range(rng.randint(1, 5)))
+            actions = rng.sample([f"a{i}" for i in range(n_actions)], n_actions)
+            matrix = ActionMatrix("R", {
+                a: DutyVector(a, {d: rng.randint(-2, 2) for d in duties}) for a in actions
+            })
+            principle = Principle(tuple(
+                Disjunct(f"u{i}", {d: rng.randint(-6, 3) for d in rng.sample(duties, len(duties))})
+                for i in range(rng.randint(1, 4))
+            ))
+            pairs = weak_preference_pairs(matrix, principle)
+            assert list(pairs.items()) == list(self._per_pair(matrix, principle).items())
+            for d in duties:
+                column = [v.values[d] for v in matrix.vectors.values()]
+                for x in column:
+                    for u in principle:
+                        below += x - u.bounds[d] < min(column)
+                        above += x - u.bounds[d] > max(column)
+        if n_actions:
+            assert below and above
+
     def test_fewer_than_two_actions_need_no_check(self):
         # No pair is compared, so a disjunct over other duties goes unchecked.
         stray = Principle((Disjunct("u1", {"x": 0}),))
@@ -311,6 +339,15 @@ class TestEthicalOrdering:
         with pytest.raises(SchemaError):
             ethical_ordering(eldercare, "S1", tie_break=("warn",))
 
+    def test_tie_break_must_be_a_permutation(self, eldercare):
+        actions = eldercare.language.actions
+        for tie_break in (
+            actions + (actions[0],),  # same set, one action twice
+            (actions[1],) + actions[1:],  # same length, first action missing
+        ):
+            with pytest.raises(SchemaError, match="permutation"):
+                ethical_ordering(eldercare, "S1", tie_break=tie_break)
+
     def test_solution_count_equals_distinct_greedy_firsts(self):
         # Every solution heads the greedy ordering under some tie-break
         # permutation, and nothing else does (checked on acyclic instances).
@@ -351,3 +388,92 @@ class TestValidation:
         assert situation.positives == frozenset({"p"})
         with pytest.raises(SchemaError):
             Situation.from_perceptions(("p",), ("zzz",))
+
+
+def _reference_strict_graph(actions, weak):
+    return {
+        a: frozenset(b for b in actions if b != a and (a, b) in weak and (b, a) not in weak)
+        for a in actions
+    }
+
+
+def _reference_ordering(actions, weak, priority):
+    """Repeatedly pick the undominated remaining action first in priority."""
+    strict = _reference_strict_graph(actions, weak)
+    remaining = set(actions)
+    picked = []
+    while remaining:
+        candidates = remaining.difference(*(strict[b] for b in remaining))
+        if not candidates:
+            break
+        choice = min(candidates, key=list(priority).index)
+        picked.append(choice)
+        remaining.discard(choice)
+    steps = [(a, weak.get((a, b), ())) for a, b in zip(picked, picked[1:])]
+    if picked:
+        steps.append((picked[-1], ()))
+    return steps, tuple(sorted(remaining)) if remaining else None
+
+
+class TestStrictGraphAndOrdering:
+    """The strict graph, the greedy ordering and the solutions against
+    all-pairs references, on random matrices with and without strict cycles."""
+
+    @staticmethod
+    def _agents(seed, count, sizes):
+        # Random cycles are rare, so every other agent of three or more
+        # actions gets the rock-paper-scissors triangle of
+        # test_strict_cycle_yields_empty_set_with_diagnostic planted among
+        # random rows.  Matrix order differs from language order.
+        rng = random.Random(seed)
+        for k in range(count):
+            n = rng.choice(sizes)
+            actions = tuple(f"a{i}" for i in range(n))
+            if k % 2 and n >= 3:
+                duties = 3
+                planted = [(0, 0, 0), (-2, 1, 1), (-1, -1, 2)]
+                bounds = [(2, -1, -1), (-1, 2, -1), (-1, -1, 2)]
+            else:
+                duties = rng.randint(1, 4)
+                planted = []
+                bounds = [tuple(rng.randint(-4, 2) for _ in range(duties)) for _ in range(rng.randint(1, 4))]
+            rows = planted + [tuple(rng.randint(-2, 2) for _ in range(duties)) for _ in range(n - len(planted))]
+            rng.shuffle(rows)
+            yield _tiny_agent(dict(zip(rng.sample(actions, n), rows)), bounds, actions)
+
+    def test_strict_graph_and_default_ordering(self):
+        from vdarg import strict_preference_graph
+        stuck = 0
+        for agent in self._agents(5, 400, (2, 3, 4, 5, 6, 8, 12)):
+            matrix = agent.matrices["R"]
+            weak = TestWeakPreferencePairs._per_pair(matrix, agent.principle)
+            strict = strict_preference_graph(matrix, agent.principle)
+            assert list(strict.items()) == list(_reference_strict_graph(list(matrix.vectors), weak).items())
+            report = ethical_ordering(agent, "R")
+            steps, expected_stuck = _reference_ordering(list(matrix.vectors), weak, sorted(matrix.vectors))
+            assert [(s.action, s.to_next) for s in report.steps] == steps
+            assert report.stuck == expected_stuck
+            stuck += report.stuck is not None
+        assert stuck > 10  # strict cycles are in the sample
+
+    def test_every_tie_break_permutation(self):
+        stuck = 0
+        for agent in self._agents(6, 30, (4, 5)):
+            matrix = agent.matrices["R"]
+            weak = TestWeakPreferencePairs._per_pair(matrix, agent.principle)
+            for perm in permutations(agent.language.actions):
+                report = ethical_ordering(agent, "R", tie_break=perm)
+                steps, expected_stuck = _reference_ordering(list(matrix.vectors), weak, perm)
+                assert [(s.action, s.to_next) for s in report.steps] == steps
+                assert report.stuck == expected_stuck
+                stuck += report.stuck is not None
+        assert stuck
+
+    def test_solution_report_matches_brute_force(self):
+        from vdarg.oracle import MAX_ORACLE_ACTIONS, brute_force_solutions
+        cycles = 0
+        for agent in self._agents(7, 300, range(1, MAX_ORACLE_ACTIONS + 1)):
+            report = solution_report(agent, "R")
+            assert report.actions == brute_force_solutions(agent, "R")
+            cycles += report.cycle is not None
+        assert cycles

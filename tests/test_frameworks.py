@@ -161,6 +161,45 @@ class TestPracticalGeneration:
         cited = [info.disjunct for info in build.rule_info.values() if info.source == "a"]
         assert cited == ["u2"]
 
+    def test_principle_rules_follow_language_order(self):
+        # Rules go target-major, then source, both in language order, which
+        # the matrix need not share; checked against the pair-by-pair loop.
+        rng = random.Random(13)
+        for _ in range(60):
+            n, duties = rng.randint(2, 9), ("d1", "d2", "d3")
+            actions = tuple(f"a{i}" for i in range(n))
+            rows = {a: {d: rng.randint(-2, 2) for d in duties} for a in rng.sample(actions, n)}
+            agent = VdaAgent(
+                language=VdaLanguage(("p",), actions, duties),
+                situations={"R": Situation.from_perceptions(("p",), ())},
+                matrices={"R": ActionMatrix("R", {a: DutyVector(a, v) for a, v in rows.items()})},
+                principle=Principle(tuple(
+                    Disjunct(f"u{i}", {d: rng.randint(-4, 1) for d in duties}) for i in range(3)
+                )),
+            )
+            build = practical_framework(agent, "R")
+            matrix, principle = agent.matrices["R"], agent.principle
+            total = {u.id: sum(u.bounds.values()) for u in principle}
+            expected = [
+                (build.negation_of[target], source, target)
+                for target in actions if target in build.assumption_actions
+                for source in actions
+                if source != target and prefers(matrix, principle, source, target)
+            ]
+            principle_rules = [
+                (r.head, build.rule_info[r.id].source, build.rule_info[r.id].target)
+                for r in build.framework.rules if build.rule_info[r.id].kind == "principle"
+            ]
+            assert principle_rules == expected
+            assert [r.id for r in build.framework.rules] == [
+                f"r{i + 1}" for i in range(len(build.framework.rules))
+            ]
+            for r in build.framework.rules:
+                info = build.rule_info[r.id]
+                if info.kind == "principle":
+                    ids = prefers(matrix, principle, info.source, info.target)
+                    assert info.disjunct == max(ids, key=lambda uid: (total[uid], -ids.index(uid)))
+
     def test_argument_count_formula_on_s1(self, eldercare):
         result = analyze_practical(eldercare, "S1")
         principle_rules = [
