@@ -302,15 +302,22 @@ class Aaf:
 
     @cached_property
     def classes(self) -> tuple[tuple[tuple[str, ...], tuple[int, ...]], ...]:
-        """Arguments grouped by identical attackers: each class's attacker
-        tuple and its members' positions, classes ordered by first member."""
-        groups: dict[tuple[str, ...], list[int]] = {}
-        for i, arg_id in enumerate(self.ids):
-            groups.setdefault(self.attackers_of[arg_id], []).append(i)
-        return tuple((key, tuple(members)) for key, members in groups.items())
+        """Arguments grouped by identical attackers (see attacker_classes)."""
+        return attacker_classes(self.ids, self.attackers_of)
 
     def argument(self, argument_id: str) -> Argument:
         return self.by_id[argument_id]
+
+
+def attacker_classes(
+    ids: Sequence[str], attackers_of: Mapping[str, tuple[str, ...]]
+) -> tuple[tuple[tuple[str, ...], tuple[int, ...]], ...]:
+    """The ids grouped by identical attackers: each class's attacker tuple
+    and its members' positions in ids, classes ordered by first member."""
+    groups: dict[tuple[str, ...], list[int]] = {}
+    for i, node in enumerate(ids):
+        groups.setdefault(attackers_of[node], []).append(i)
+    return tuple((key, tuple(members)) for key, members in groups.items())
 
 
 def to_aaf(arguments: Sequence[Argument], attacks: Iterable[tuple[str, str]]) -> Aaf:

@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict
 
 from . import core
-from .aba import Aaf, ordered_premises
+from .aba import Aaf, Rule, ordered_premises
 from .agentfile import load_agent
 from .core import EpistemicSpec
 from .errors import IndeterminateSituationError, SchemaError, VdaError
@@ -23,21 +23,33 @@ from .explain import explain_action, explain_situation
 from .frameworks import (
     EpistemicResult,
     PracticalResult,
+    RuleInfo,
     analyze_epistemic,
     analyze_practical,
     assumption_arguments,
     epistemic_framework,
     evaluate,
 )
-from .oracle import RandomVdaSpec, brute_force_extensions, brute_force_solutions, random_aaf, random_vda
+from .oracle import (
+    MAX_ORACLE_ARGUMENTS,
+    RandomVdaSpec,
+    brute_force_extensions,
+    brute_force_solutions,
+    random_aaf,
+    random_vda,
+)
 from .semantics import SEMANTICS, AcceptanceReport, extensions_for
 
 
 def _graph_payload(aaf: Aaf, report: AcceptanceReport) -> dict:
-    index = aaf.index
+    """The attacks source-major in argument order, and the extensions."""
+    victims: dict[str, list[str]] = {arg_id: [] for arg_id in aaf.ids}
+    for dst in aaf.ids:  # targets in argument order, so every victim list comes out sorted
+        for src in aaf.attackers_of[dst]:
+            victims[src].append(dst)
     return {
-        "attacks": [list(p) for p in sorted(aaf.attacks, key=lambda p: (index[p[0]], index[p[1]]))],
-        "extensions": [sorted(ext.members, key=index.__getitem__) for ext in report.extensions],
+        "attacks": [[src, dst] for src in aaf.ids for dst in victims[src]],
+        "extensions": [sorted(ext.members, key=aaf.index.__getitem__) for ext in report.extensions],
     }
 
 
@@ -136,6 +148,19 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0 if payload["solutions"] else 1
 
 
+def _rule_payload(rule: Rule, info: RuleInfo) -> dict:
+    return {
+        "id": rule.id,
+        "head": rule.head,
+        "body": list(rule.body),
+        "kind": info.kind,
+        "action": info.action,
+        "disjunct": info.disjunct,
+        "source": info.source,
+        "target": info.target,
+    }
+
+
 def _practical_payload(result: PracticalResult) -> dict:
     build = result.build
     actions = build.agent.language.actions
@@ -143,15 +168,7 @@ def _practical_payload(result: PracticalResult) -> dict:
     return {
         "situation": build.situation_id,
         "semantics": result.semantics,
-        "rules": [
-            {
-                "id": rule.id,
-                "head": rule.head,
-                "body": list(rule.body),
-                **asdict(build.rule_info[rule.id]),
-            }
-            for rule in build.framework.rules
-        ],
+        "rules": [_rule_payload(rule, build.rule_info[rule.id]) for rule in build.framework.rules],
         "arguments": [
             {
                 "id": arg.id,
@@ -375,6 +392,15 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         agent, sid = random_vda(spec)
         if core.solutions(agent, sid) != brute_force_solutions(agent, sid):
             mismatches += 1
+        # The decision runs on the action graph; its lifted extensions must
+        # be those of the argument graph, which it never searched.
+        for semantics in SEMANTICS:
+            result = analyze_practical(agent, sid, semantics)
+            if len(result.aaf.arguments) > MAX_ORACLE_ARGUMENTS:
+                break
+            lifted = {e.members for e in result.report.extensions}
+            if lifted != brute_force_extensions(result.aaf, semantics):
+                mismatches += 1
     for i in range(args.aafs):
         aaf = random_aaf(args.seed + i)
         for semantics in SEMANTICS:

@@ -17,7 +17,6 @@ from .errors import SchemaError, UnknownNameError
 from .frameworks import EpistemicResult, PracticalResult, RuleInfo
 
 _VvaluePairs = tuple[tuple[str, int], ...]
-_NO_RULE = RuleInfo("none")
 
 
 @dataclass(frozen=True)
@@ -53,6 +52,9 @@ def _value_pairs(values: Mapping[str, int]) -> _VvaluePairs:
 
 
 def explain_action(result: PracticalResult, action: str) -> Explanation:
+    """Explain one action from the action-level decision: an argument is in
+    an extension exactly when its support action is, so the argument graph
+    is never built."""
     build = result.build
     agent = build.agent
     if action not in agent.language.actions:
@@ -61,39 +63,40 @@ def explain_action(result: PracticalResult, action: str) -> Explanation:
 
     matrix = agent.matrix_for(build.situation_id)
     principle = agent.require_principle()
-    report, aaf = result.report, result.aaf
-    attackers_of = aaf.attackers_of
+    decided, arguments, support, attackers_of = (
+        result.action_report, build.arguments, build.support, build.attackers_of,
+    )
 
     def rule_info(att_id: str) -> RuleInfo:
-        return build.rule_info.get(aaf.argument(att_id).tree.rule_id or "", _NO_RULE)
+        return build.rule_info[arguments[att_id].id]
 
     def citation(att_id: str, extensions: tuple[str, ...]) -> AttackerCitation:
-        att = aaf.argument(att_id)
+        rule = arguments[att_id]
         info = rule_info(att_id)
         return AttackerCitation(
             argument_id=att_id,
-            conclusion=att.conclusion,
-            premises=tuple(ordered_premises(att.premises, build.display_order)),
+            conclusion=rule.head,
+            premises=tuple(ordered_premises(rule.body, build.display_order)),
             extensions=extensions,
-            counter_attackers=tuple(c for c in attackers_of[att_id] if report.statuses[c].in_some),
+            counter_attackers=tuple(
+                c for c in attackers_of[info.source] if support[c] in result.credulous_actions
+            ),
             disjunct=info.disjunct,
-            disjunct_bounds=_value_pairs(principle.by_id(info.disjunct).bounds) if info.disjunct else None,
+            disjunct_bounds=_value_pairs(principle.by_id(info.disjunct).bounds),
             source_action=info.source,
-            source_vector=_value_pairs(matrix.vector(info.source).values) if info.source else None,
-            target_vector=_value_pairs(matrix.vector(info.target).values) if info.target else None,
+            source_vector=_value_pairs(matrix.vector(info.source).values),
+            target_vector=_value_pairs(matrix.vector(info.target).values),
         )
 
     def rank(att_id: str) -> tuple[int, str]:
         info = rule_info(att_id)
-        if info.disjunct is not None:
-            return (principle.index_of(info.disjunct), info.source or "")
-        return (len(principle.disjuncts), att_id)
+        return (principle.index_of(info.disjunct), info.source)
 
-    def rejection(arg_id: str) -> tuple[AttackerCitation, ...] | None:
+    def rejection(attackers: tuple[str, ...]) -> tuple[AttackerCitation, ...] | None:
         # Per extension, the best-ranked accepted attacker; None if one accepts none.
         chosen: dict[str, AttackerCitation] = {}
-        for label, ext in report.labelled():
-            accepted = [a for a in attackers_of[arg_id] if a in ext.members]
+        for label, ext in decided.labelled():
+            accepted = [a for a in attackers if support[a] in ext.members]
             if not accepted:
                 return None
             best = min(accepted, key=rank)
@@ -108,25 +111,27 @@ def explain_action(result: PracticalResult, action: str) -> Explanation:
     if arg_id is None:
         verdict = "rejected-a-priori"
     else:
-        premises = tuple(ordered_premises(aaf.argument(arg_id).premises, build.display_order))
-        status = report.statuses[arg_id]
-        rejected = None if status.in_some else rejection(arg_id)
+        premises = tuple(ordered_premises(arguments[arg_id].body, build.display_order))
+        status = decided.statuses[action]
+        rejected = None if status.in_some else rejection(attackers_of[action])
         if rejected is not None:
             verdict, attackers = "rejected", rejected
-            extensions = tuple(label for label, _ in report.labelled())
+            extensions = tuple(label for label, _ in decided.labelled())
         else:
             verdict = (
                 "justified-skeptical" if status.in_all
                 else "justified-credulous" if status.in_some else "indeterminate"
             )
-            extensions = report.extension_labels_containing(arg_id)
+            extensions = decided.extension_labels_containing(action)
             attackers = tuple(
-                citation(a, report.extension_labels_containing(a)) for a in attackers_of[arg_id]
+                citation(a, decided.extension_labels_containing(support[a]))
+                for a in attackers_of[action]
             )
             if status.in_some:
-                defenders = tuple(
-                    sorted({c for att in attackers for c in att.counter_attackers}, key=aaf.index.__getitem__)
-                )
+                defenders = tuple(sorted(
+                    {c for att in attackers for c in att.counter_attackers},
+                    key=build.argument_index.__getitem__,
+                ))
     expl = Explanation(
         subject=action, kind="action", verdict=verdict, argument_id=arg_id,
         premises=premises, extensions=extensions, attackers=attackers,

@@ -2,11 +2,27 @@
 
 Practical reasoning: a situation's action matrix and the principle become a
 framework whose assumptions are the duty vectors that satisfy at least one
-duty.  Each such vector gets an action rule (action <- vector), and every
-ordered pair of actions where the source is weakly preferred to an
-assumption target gets one principle rule (not-vector(target) <- disjunct,
-vector(source)) citing the tightest qualifying disjunct.  Disjuncts are
-axioms: accepted premises with no contrary.
+duty (the qualifying actions).  Each such vector gets an action rule
+(action <- vector), and every ordered pair of actions where the source is
+weakly preferred to an assumption target gets one principle rule
+(not-vector(target) <- disjunct, vector(source)) citing the tightest
+qualifying disjunct.  Disjuncts are axioms: accepted premises with no
+contrary.
+
+Every rule body holds one vector and at most one axiom, so each rule whose
+body is derivable gives exactly one argument: every action rule, and every
+principle rule whose source qualifies.  The compiler numbers them X1, X2...
+in rule order without deriving them.  An argument's support is one action's
+vector and its attackers are the principle arguments that target that
+action, so the argument graph's classes of equal attackers are the
+qualifying actions, and s attacks t exactly when s is weakly preferred to t.
+The decision therefore runs the semantics on that action graph, and an
+argument is in an extension exactly when its support action is (flat ABA:
+Bondarenko, Dung, Kowalski & Toni 1997; Toni 2014), so
+``PracticalResult.report`` lifts the action-level extensions and statuses to
+the arguments by support.  The argument graph itself, from
+``derive_arguments`` and ``compute_attacks``, is built only when a caller
+reads ``PracticalResult.aaf``, as the commands that print arguments do.
 
 Epistemic reasoning: perception literals are sentences, designated literals
 are assumptions (contrary defaults to the complement), epistemic rules carry
@@ -18,7 +34,8 @@ when every assumption is settled, a justified situation to decide in.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from . import core
 from .aba import AbaFramework, Aaf, Argument, Rule, compute_attacks, derive_arguments
@@ -36,7 +53,7 @@ from .errors import (
     SchemaError,
     UnknownNameError,
 )
-from .semantics import AcceptanceReport, acceptance_status
+from .semantics import AcceptanceReport, Extension, acceptance_status
 
 
 @dataclass(frozen=True)
@@ -60,6 +77,17 @@ class PracticalBuild:
     relevant: frozenset[str]
     display_order: Mapping[str, int]  # canonical sentence order for premise rendering
     weak_preference: Mapping[tuple[str, str], tuple[str, ...]]  # as core.weak_preference_pairs
+    # Argument id -> the rule it applies: the rules whose body is derivable, in rule order.
+    arguments: Mapping[str, Rule]
+    support: Mapping[str, str]  # argument id -> the action whose vector is its support
+    # Qualifying action -> the ids of the arguments concluding its contrary,
+    # in argument order; the actions are ordered by their last argument.
+    attackers_of: Mapping[str, tuple[str, ...]]
+
+    @cached_property
+    def argument_index(self) -> Mapping[str, int]:
+        """Position of each argument id in argument order."""
+        return {arg_id: i for i, arg_id in enumerate(self.arguments)}
 
 
 def practical_framework(agent: VdaAgent, situation_id: str) -> PracticalBuild:
@@ -83,15 +111,26 @@ def practical_framework(agent: VdaAgent, situation_id: str) -> PracticalBuild:
 
     rules: list[Rule] = []
     rule_info: dict[str, RuleInfo] = {}
+    arguments: dict[str, Rule] = {}
+    support: dict[str, str] = {}
+    last: dict[str, int] = {}  # qualifying action -> position of the last argument it supports
 
-    def add_rule(head: str, body: tuple[str, ...], info: RuleInfo) -> None:
-        rid = f"r{len(rules) + 1}"
-        rules.append(Rule(rid, head, body))
-        rule_info[rid] = info
+    def add_rule(head: str, body: tuple[str, ...], info: RuleInfo, action: str) -> str | None:
+        """Add a rule whose body holds action's vector; the id of its
+        argument, or None if the body is not derivable."""
+        rule = Rule(f"r{len(rules) + 1}", head, body)
+        rules.append(rule)
+        rule_info[rule.id] = info
+        if action not in qualifying_set:  # its vector is neither assumption nor axiom
+            return None
+        last[action] = len(arguments)
+        arg_id = f"X{len(arguments) + 1}"
+        arguments[arg_id] = rule
+        support[arg_id] = action
+        return arg_id
 
-    for a in actions:
-        if a in qualifying_set:
-            add_rule(a, (vector_of[a],), RuleInfo("action", action=a))
+    for a in qualifying:
+        add_rule(a, (vector_of[a],), RuleInfo("action", action=a), a)
 
     weak = core.weak_preference_pairs(matrix, principle)
     # The tightest qualifying disjunct: greatest total bound, earliest on ties.
@@ -103,14 +142,18 @@ def practical_framework(agent: VdaAgent, situation_id: str) -> PracticalBuild:
     for source, target in weak:
         if target in qualifying_set:
             sources.setdefault(target, []).append(source)
+    attackers: dict[str, list[str]] = {a: [] for a in qualifying}
     for target in actions:
         for source in sorted(sources.get(target, ()), key=position.__getitem__):
             chosen = min(weak[(source, target)], key=rank.__getitem__)
-            add_rule(
+            arg_id = add_rule(
                 negation_of[target],
                 (chosen, vector_of[source]),
                 RuleInfo("principle", disjunct=chosen, source=source, target=target),
+                source,
             )
+            if arg_id is not None:
+                attackers[target].append(arg_id)
 
     assumptions = tuple(vector_of[a] for a in actions if a in qualifying_set)
     contraries = {vector_of[a]: negation_of[a] for a in actions if a in qualifying_set}
@@ -140,23 +183,50 @@ def practical_framework(agent: VdaAgent, situation_id: str) -> PracticalBuild:
         relevant=relevant,
         display_order=display_order,
         weak_preference=weak,
+        arguments=arguments,
+        support=support,
+        # In this order, the action graph sorts its extensions as the
+        # argument graph does: by the highest argument that differs.
+        attackers_of={a: tuple(attackers[a]) for a in sorted(qualifying, key=last.__getitem__)},
     )
 
 
 @dataclass(frozen=True)
 class PracticalResult:
-    """Practical pipeline output: framework, AAF, acceptance, and action verdicts."""
+    """Practical pipeline output: the decision on the action graph and the
+    action verdicts; the argument graph and its report are views built on
+    first read."""
 
     build: PracticalBuild
     semantics: str
-    aaf: Aaf
-    report: AcceptanceReport
+    action_report: AcceptanceReport  # over the action graph: extensions and statuses name actions
     action_argument: Mapping[str, str]
     action_status: Mapping[str, str]
     justified_actions: frozenset[str]
     credulous_actions: frozenset[str]
     solutions: frozenset[str]
     solution_cycle: tuple[str, ...] | None
+
+    @cached_property
+    def aaf(self) -> Aaf:
+        """The derived arguments and their attackers."""
+        framework = self.build.framework
+        arguments = derive_arguments(framework, label="X", keep_conclusions=self.build.relevant)
+        return Aaf(arguments, compute_attacks(arguments, framework))
+
+    @cached_property
+    def report(self) -> AcceptanceReport:
+        """The argument-level report, lifted from the action level by support:
+        an argument is in an extension when its support action is, and has
+        that action's status."""
+        support = self.build.support
+        decided = self.action_report
+        extensions = tuple(
+            Extension(frozenset(arg_id for arg_id, a in support.items() if a in ext.members), ext.semantics)
+            for ext in decided.extensions
+        )
+        statuses = {arg_id: replace(decided.statuses[a], argument_id=arg_id) for arg_id, a in support.items()}
+        return replace(decided, extensions=extensions, statuses=statuses)
 
 
 def evaluate(
@@ -174,22 +244,22 @@ def evaluate(
 
 def analyze_practical(agent: VdaAgent, situation_id: str, semantics: str = "grounded") -> PracticalResult:
     build = practical_framework(agent, situation_id)
-    aaf, report = evaluate(build.framework, "X", build.relevant, semantics)
+    # The action graph: each qualifying action's attackers are the supports
+    # of the arguments that attack it.
+    support = build.support
+    graph = {t: tuple(support[arg_id] for arg_id in atts) for t, atts in build.attackers_of.items()}
+    decided = acceptance_status(graph, semantics)
 
-    actions = agent.language.actions
-    action_set = set(actions)
-    action_argument = {
-        arg.conclusion: arg.id for arg in aaf.arguments if arg.conclusion in action_set
-    }
+    # The action rules come first, one per qualifying action.
+    action_argument = dict(zip(build.assumption_actions, build.arguments))
     action_status: dict[str, str] = {}
     justified: set[str] = set()
     credulous: set[str] = set()
-    for a in actions:
-        arg_id = action_argument.get(a)
-        if arg_id is None:
+    for a in agent.language.actions:
+        if a not in action_argument:
             action_status[a] = "rejected-a-priori"
             continue
-        status = report.statuses[arg_id]
+        status = decided.statuses[a]
         action_status[a] = status.status
         if status.in_all:
             justified.add(a)
@@ -200,8 +270,7 @@ def analyze_practical(agent: VdaAgent, situation_id: str, semantics: str = "grou
     return PracticalResult(
         build=build,
         semantics=semantics,
-        aaf=aaf,
-        report=report,
+        action_report=decided,
         action_argument=action_argument,
         action_status=action_status,
         justified_actions=frozenset(justified),

@@ -10,7 +10,9 @@ Lifting is injective and monotone, so the least (grounded), the maximal
 flat ABA frameworks compiled here an argument is attacked only through its
 assumptions, so this is the assumption-level semantics of flat ABA, derived
 from the attack graph alone.  The classes are ``Aaf.classes``; acceptance
-statuses are decided once per class too.
+statuses are decided once per class too.  A graph can also be given as an
+ordered map from each node to its attackers: a practical decision runs on
+one node per qualifying action (see ``frameworks``).
 
 A complete extension is fixed by its IN set S: S is complete exactly when
 it is conflict-free and S = F(S), where F(S) is the set of classes that S
@@ -23,7 +25,7 @@ by Python's recursion limit; ``budget`` counts its IN / not-IN nodes.  Its
 leaves are the complete extensions, each an IN set with a flag for whether
 some class is neither IN nor attacked by it (UNDEC); preferred are the
 maximal ones and stable the ones with nothing UNDEC.  Extensions are
-ordered by their members' positions in argument order, so output is
+ordered by their members' positions in node order, so output is
 deterministic.
 """
 
@@ -33,7 +35,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
-from .aba import Aaf
+from .aba import Aaf, attacker_classes
 from .errors import ResourceCapError, UnknownNameError
 
 SEMANTICS = ("grounded", "complete", "preferred", "stable")
@@ -55,28 +57,43 @@ def _bits(mask: int):
         mask ^= low
 
 
-class _Graph:
-    """Attack graph over classes of arguments with identical attacker sets.
+_Classes = tuple[tuple[tuple[str, ...], tuple[int, ...]], ...]
 
-    Classes are numbered by their first member in argument order; class d
+
+def _nodes(graph: Aaf | Mapping[str, tuple[str, ...]]) -> tuple[tuple[str, ...], _Classes]:
+    """The node ids of an attack graph and its classes of equal attackers.
+
+    The graph is an Aaf, whose nodes are its arguments, or an ordered map
+    from each node to its attackers.
+    """
+    if isinstance(graph, Aaf):
+        return graph.ids, graph.classes
+    ids = tuple(graph)
+    return ids, attacker_classes(ids, graph)
+
+
+class _Graph:
+    """Attack graph over classes of nodes with identical attacker sets.
+
+    Classes are numbered by their first member in node order; class d
     attacks class c when some member of d attacks the members of c.
     """
 
-    def __init__(self, aaf: Aaf):
-        self.ids = aaf.ids
-        self.members = [members for _, members in aaf.classes]
-        class_of = {self.ids[i]: c for c, members in enumerate(self.members) for i in members}
+    def __init__(self, ids: tuple[str, ...], classes: _Classes):
+        self.ids = ids
+        self.members = [members for _, members in classes]
+        class_of = {ids[i]: c for c, members in enumerate(self.members) for i in members}
         n = self.n = len(self.members)
         self.lifted = [sum(1 << i for i in members) for members in self.members]
         self.attackers = [0] * n
         self.victims = [0] * n
-        for c, (key, _) in enumerate(aaf.classes):
+        for c, (key, _) in enumerate(classes):
             for d in {class_of[a] for a in key}:
                 self.attackers[c] |= 1 << d
                 self.victims[d] |= 1 << c
 
     def lift(self, mask: int) -> int:
-        """The argument mask of the members of the classes in mask."""
+        """The node mask of the members of the classes in mask."""
         return sum(self.lifted[c] for c in _bits(mask))
 
     def extension(self, in_mask: int, semantics: str) -> Extension:
@@ -178,10 +195,13 @@ def stable(aaf: Aaf, budget: int = DEFAULT_SEARCH_BUDGET) -> tuple[Extension, ..
     return extensions_for(aaf, "stable", budget)
 
 
-def extensions_for(aaf: Aaf, semantics: str, budget: int = DEFAULT_SEARCH_BUDGET) -> tuple[Extension, ...]:
+def extensions_for(
+    aaf: Aaf | Mapping[str, tuple[str, ...]], semantics: str, budget: int = DEFAULT_SEARCH_BUDGET
+) -> tuple[Extension, ...]:
+    """The extensions of an Aaf, or of an ordered node -> attackers map."""
     if semantics not in SEMANTICS:
         raise UnknownNameError(f"unknown semantics {semantics!r}; expected one of {SEMANTICS}")
-    g = _Graph(aaf)
+    g = _Graph(*_nodes(aaf))
     least = _propagate(g, 0, 0, 0)
     assert least is not None  # the grounded extension is complete
     if semantics == "grounded":
@@ -227,8 +247,11 @@ class AcceptanceReport:
         return tuple(label for label, ext in self._labelled if argument_id in ext.members)
 
 
-def acceptance_status(aaf: Aaf, semantics: str, budget: int = DEFAULT_SEARCH_BUDGET) -> AcceptanceReport:
-    """Per-argument verdicts under the paper's justification vocabulary.
+def acceptance_status(
+    aaf: Aaf | Mapping[str, tuple[str, ...]], semantics: str, budget: int = DEFAULT_SEARCH_BUDGET
+) -> AcceptanceReport:
+    """Per-node verdicts under the paper's justification vocabulary, for the
+    arguments of an Aaf or the nodes of an ordered node -> attackers map.
 
     skeptically-justified: in every extension; credulously-justified: in at
     least one but not all; skeptically/credulously-rejected: attacked by an
@@ -237,7 +260,7 @@ def acceptance_status(aaf: Aaf, semantics: str, budget: int = DEFAULT_SEARCH_BUD
     in_some both false.
     """
     exts = extensions_for(aaf, semantics, budget)
-    ids = aaf.ids
+    ids, classes = _nodes(aaf)
     if not exts:
         statuses = {
             arg_id: ArgumentStatus(arg_id, "vacuous", False, False) for arg_id in ids
@@ -253,7 +276,7 @@ def acceptance_status(aaf: Aaf, semantics: str, budget: int = DEFAULT_SEARCH_BUD
     in_some = frozenset.union(*member_sets)
     credulous_only = in_some - in_all
     verdicts = {}  # argument position -> (status, in_all, in_some)
-    for attackers, members in aaf.classes:
+    for attackers, members in classes:
         first = ids[members[0]]
         if first in in_all:
             status = "skeptically-justified"

@@ -276,6 +276,17 @@ class TestDeterminismAndCodes:
         assert code == 0
         assert "mismatches=0" in out
 
+    def test_oracle_check_covers_practical_decisions(self, run, monkeypatch):
+        # With no random AAFs, only the agents' solutions and their lifted
+        # practical extensions are checked; an oracle that finds no extension
+        # must disagree with the second.
+        import vdarg.cli
+
+        monkeypatch.setattr(vdarg.cli, "brute_force_extensions", lambda aaf, semantics: set())
+        code, out, _ = run("oracle-check", "--instances", "2", "--aafs", "0")
+        assert code == 1
+        assert out.strip() == "oracle-check: instances=2 aafs=0 mismatches=8"
+
     def test_oracle_check_has_no_format_option(self, run):
         code, _, _ = run("oracle-check", "--instances", "1", "--aafs", "1", "--format", "json")
         assert code == 2

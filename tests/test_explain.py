@@ -180,11 +180,13 @@ class TestRendering:
 
 class TestAttackPairsStayOffTheDecidePath:
     """Deciding and explaining read each argument's attackers; the pair set
-    Aaf.attacks is built only for the readers that print or brute-force it."""
+    Aaf.attacks is built only for the readers that print or brute-force it.
+    A practical decision builds no argument graph at all until it is read."""
 
     def test_practical_decision_and_explanations(self, eldercare):
         result = analyze_practical(eldercare, "S1")
         explain_all_actions(result)
+        assert "aaf" not in vars(result) and "report" not in vars(result)
         assert "attacks" not in vars(result.aaf)
 
     def test_epistemic_decision_and_explanation(self, eldercare):

@@ -259,6 +259,35 @@ class TestPracticalPipeline:
         assert result.report.extensions[0].members == frozenset({"X2", "X5", "X8", "X9"})
 
 
+    @pytest.mark.parametrize("semantics", ["grounded", "complete", "preferred", "stable"])
+    def test_a_source_that_satisfies_no_duty_gives_no_argument(self, semantics):
+        # a = (1, 0) and b = (0, 0) prefer each other weakly under u1 = (-1, 0),
+        # but b satisfies no duty: v(b) is not an assumption, so the rule
+        # not-v(a) <- u1, v(b) has no argument and a stays unattacked.
+        duties = ("d1", "d2")
+        agent = VdaAgent(
+            language=VdaLanguage(("p",), ("a", "b"), duties),
+            situations={"R": Situation.from_perceptions(("p",), ())},
+            matrices={"R": ActionMatrix("R", {
+                "a": DutyVector("a", {"d1": 1, "d2": 0}),
+                "b": DutyVector("b", {"d1": 0, "d2": 0}),
+            })},
+            principle=Principle((Disjunct("u1", {"d1": -1, "d2": 0}),)),
+        )
+        result = analyze_practical(agent, "R", semantics)
+        assert result.solutions == frozenset({"a", "b"})
+        assert result.credulous_actions == frozenset({"a"})
+        assert result.action_status["b"] == "rejected-a-priori"
+
+        build = result.build
+        (rule,) = [r for r in build.framework.rules if build.rule_info[r.id].kind == "principle"]
+        assert rule.body == ("u1", build.vector_of["b"])
+        assert rule not in build.arguments.values()
+        assert build.attackers_of == {"a": ()}
+        assert all(rule.id not in arg.rules_used for arg in result.aaf.arguments)
+        assert result.aaf.ids == tuple(build.arguments) == ("X1",)
+
+
 def eldercare_epistemic_result(agent, semantics="grounded"):
     perceptions = sorted(agent.situation("S2").positives)
     return analyze_epistemic(agent.epistemic, perceptions, semantics)
