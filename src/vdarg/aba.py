@@ -14,18 +14,25 @@ skipped a rule below the sentence (a branch sentence below it would put it on
 a rule cycle, where the guard fires), or a leaf below it is an axiom that
 heads a rule (a leaf in proofs, but a branch at the top level).  The top
 level applies only rules whose head is kept; other heads are sub-proofs only.
-While it runs, a proof is a tree and two integer masks: bit i of the leaf
-mask is the i-th leaf sentence (the assumptions in declaration order, then
-the axioms, sorted) and bit i of the rule mask is the i-th rule.  Combining
-proofs ORs their masks, and two proofs of a sentence are the same argument
-when their masks are equal, since no sentence is both an assumption and an
-axiom.  The support, premise and rule sets are built only for the kept
+The max_arguments cap bounds both the kept arguments and each sentence's
+list of sub-proofs, as they are filled.  While it runs, a proof is a plain
+tuple (sentence, rule id, child proofs, leaf mask, rule mask): bit i of the
+leaf mask is the i-th leaf sentence (the assumptions in declaration order,
+then the axioms, sorted) and bit i of the rule mask is the i-th rule.
+Combining proofs ORs their masks, and two proofs of a sentence are the same
+argument when their masks are equal, since no sentence is both an assumption
+and an axiom.  The support and premise sets are built only for the kept
 arguments, once each, and arguments with the same leaves share their sets.
+An argument keeps its proof; its rule set and its ``TreeNode`` tree are
+built from the proof when first read.
 
 An argument attacks another when its conclusion is the contrary of an
-assumption in the other's support.  ``Aaf`` stores each argument's attackers
-in argument order and derives the set of attack pairs from them.  Only flat
-frameworks are supported: no assumption may head a rule.
+assumption in the other's support, so its attackers depend only on which of
+its support's contraries some argument concludes; ``compute_attacks`` builds
+one attacker tuple per distinct set of those and shares it.  ``Aaf`` stores
+each argument's attackers in argument order and derives the set of attack
+pairs from them.  Only flat frameworks are supported: no assumption may head
+a rule.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, islice, product
 
 from .errors import FlatnessError, ResourceCapError, SchemaError, TotalityError
 
@@ -112,17 +119,40 @@ class TreeNode:
     children: tuple["TreeNode", ...] = ()
 
 
+# A deduction as a plain tuple (sentence, rule_id, children, ...), read like a
+# TreeNode; derive_arguments appends the proof's leaf mask and rule mask.
+_Proof = tuple
+
+
+def _tree(proof: _Proof) -> TreeNode:
+    sentence, rule_id, children = proof[:3]
+    return TreeNode(sentence, rule_id, tuple(map(_tree, children)))
+
+
 @dataclass(frozen=True)
 class Argument:
+    """{premises} ⊢ conclusion, deduced by proof.  The rule set and the
+    TreeNode tree are built from the proof when first read."""
+
     id: str
     conclusion: str
     support: frozenset[str]   # assumption leaves; attacks target these
     premises: frozenset[str]  # support plus axiom leaves, as displayed
-    rules_used: frozenset[str]
-    tree: TreeNode
+    proof: _Proof
 
+    @cached_property
+    def tree(self) -> TreeNode:
+        return _tree(self.proof)
 
-_Proof = tuple[TreeNode, int, int]  # (tree, leaf mask, rule mask)
+    @cached_property
+    def rules_used(self) -> frozenset[str]:
+        found, stack = set(), [self.proof]
+        while stack:
+            _, rule_id, children = stack.pop()[:3]
+            if rule_id is not None:
+                found.add(rule_id)
+            stack.extend(children)
+        return frozenset(found)
 
 
 def _names(mask: int, names: Sequence[str]) -> frozenset[str]:
@@ -133,6 +163,17 @@ def _names(mask: int, names: Sequence[str]) -> frozenset[str]:
         found.append(names[low.bit_length() - 1])
         mask ^= low
     return frozenset(found)
+
+
+def _combine(rule: Rule, rule_bit: int, child_options: list[list[_Proof]]) -> Iterator[_Proof]:
+    """The proofs of rule's head that apply rule to one proof of each body sentence."""
+    head, rule_id = rule.head, rule.id
+    for parts in product(*child_options):
+        leaf_mask, rule_mask = 0, rule_bit
+        for part in parts:
+            leaf_mask |= part[3]
+            rule_mask |= part[4]
+        yield head, rule_id, parts, leaf_mask, rule_mask
 
 
 def derive_arguments(
@@ -149,12 +190,14 @@ def derive_arguments(
     then one argument per distinct (conclusion, support, rules used) rooted
     at each rule, in rule order.  With keep_conclusions, arguments whose
     conclusion falls outside the given set are dropped before numbering, and
-    only rules with a kept head are applied at the top level.
+    only rules with a kept head are applied at the top level.  A sentence
+    with more than max_arguments proofs below the top level also hits the
+    max_arguments cap.
     """
     validate_framework(framework)
     keep = None if keep_conclusions is None else frozenset(keep_conclusions)
     leaves = framework.assumptions + tuple(sorted(framework.axioms))
-    leaf_bit = {s: 1 << i for i, s in enumerate(leaves)}
+    leaf_proofs = {s: [(s, None, (), 1 << i, 0)] for i, s in enumerate(leaves)}
     memo: dict[str, tuple[list[_Proof], int]] = {}  # sentence -> (proofs, call height)
 
     def proofs_for(sentence: str, path: frozenset[str], depth: int) -> tuple[list[_Proof], int, bool]:
@@ -169,12 +212,11 @@ def derive_arguments(
         if depth > max_depth:
             raise ResourceCapError("max_depth", max_depth)
         if sentence in framework.assumption_set:
-            return [(TreeNode(sentence), leaf_bit[sentence], 0)], 0, False
+            return leaf_proofs[sentence], 0, False
         if sentence in framework.axioms:
             # An axiom that heads a rule is on the branch of that rule at the
             # top level, where the guard skips every rule naming it.
-            on_some_branch = sentence in framework.rules_by_head
-            return [(TreeNode(sentence), leaf_bit[sentence], 0)], 0, on_some_branch
+            return leaf_proofs[sentence], 0, sentence in framework.rules_by_head
         out: list[_Proof] = []
         height, guarded = 0, False
         for i, rule in framework.rules_by_head.get(sentence, ()):
@@ -182,7 +224,10 @@ def derive_arguments(
                 guarded = True  # cycle guard: a branch never repeats a sentence
                 continue
             child_options, rule_height, rule_guarded = _children(rule, path, depth)
-            out.extend(_combine(rule, 1 << i, child_options))
+            # Filled one at a time, so max_arguments bounds each sentence's list.
+            out.extend(islice(_combine(rule, 1 << i, child_options), max_arguments + 1 - len(out)))
+            if len(out) > max_arguments:
+                raise ResourceCapError("max_arguments", max_arguments)
             height = max(height, rule_height)
             guarded = guarded or rule_guarded
         if not guarded:
@@ -199,47 +244,30 @@ def derive_arguments(
             guarded = guarded or child_guarded
         return options, height, guarded
 
-    def _combine(rule: Rule, rule_bit: int, child_options: list[list[_Proof]]) -> Iterator[_Proof]:
-        for parts in product(*child_options):
-            leaf_mask, rule_mask = 0, rule_bit
-            for _, part_leaves, part_rules in parts:
-                leaf_mask |= part_leaves
-                rule_mask |= part_rules
-            yield TreeNode(rule.head, rule.id, tuple(p[0] for p in parts)), leaf_mask, rule_mask
+    def top_level() -> Iterator[_Proof]:
+        for a in framework.assumptions:
+            if keep is None or a in keep:
+                yield leaf_proofs[a][0]
+        for i, rule in enumerate(framework.rules):
+            if keep is None or rule.head in keep:
+                yield from _combine(rule, 1 << i, _children(rule, frozenset({rule.head}), 1)[0])
 
-    collected: dict[tuple[str, int, int], TreeNode] = {}  # (conclusion, leaves, rules) -> tree
-
-    def add(conclusion: str, proof: _Proof) -> None:
-        if keep is not None and conclusion not in keep:
-            return
-        tree, leaf_mask, rule_mask = proof
-        key = (conclusion, leaf_mask, rule_mask)
-        if key in collected:
-            return
-        collected[key] = tree
+    collected: dict[tuple[str, int, int], _Proof] = {}  # (conclusion, leaves, rules) -> proof
+    for proof in top_level():  # one at a time, so max_arguments bounds the work
+        collected.setdefault((proof[0], proof[3], proof[4]), proof)
         if len(collected) > max_arguments:
             raise ResourceCapError("max_arguments", max_arguments)
 
-    for a in framework.assumptions:
-        add(a, (TreeNode(a), leaf_bit[a], 0))
-    for i, rule in enumerate(framework.rules):
-        if keep is not None and rule.head not in keep:
-            continue
-        child_options = _children(rule, frozenset({rule.head}), 1)[0]
-        for proof in _combine(rule, 1 << i, child_options):  # one at a time, so max_arguments bounds the work
-            add(rule.head, proof)
-
-    rule_ids = tuple(rule.id for rule in framework.rules)
     assumption_mask = (1 << len(framework.assumptions)) - 1
     leaf_sets: dict[int, tuple[frozenset[str], frozenset[str]]] = {}  # leaf mask -> (support, premises)
     arguments = []
-    for i, ((conclusion, leaf_mask, rule_mask), tree) in enumerate(collected.items()):
+    for i, ((conclusion, leaf_mask, _), proof) in enumerate(collected.items()):
         sets = leaf_sets.get(leaf_mask)
         if sets is None:
             premises = _names(leaf_mask, leaves)
             support = premises if leaf_mask <= assumption_mask else _names(leaf_mask & assumption_mask, leaves)
             sets = leaf_sets[leaf_mask] = (support, premises)
-        arguments.append(Argument(f"{label}{i + 1}", conclusion, *sets, _names(rule_mask, rule_ids), tree))
+        arguments.append(Argument(f"{label}{i + 1}", conclusion, *sets, proof))
     return tuple(arguments)
 
 
@@ -248,21 +276,30 @@ def compute_attacks(
     framework: AbaFramework,
 ) -> dict[str, tuple[str, ...]]:
     """Each argument's attackers, in argument order: X attacks Y iff X's
-    conclusion is the contrary of an assumption in Y's support."""
-    attackers: dict[str, list[str]] = {}
-    targets_by_contrary: dict[str, list[list[str]]] = {}  # contrary -> the attacker lists it fills
+    conclusion is the contrary of an assumption in Y's support.
+
+    The attackers depend only on which of the support's contraries some
+    argument concludes, so the arguments with the same such contraries share
+    one attacker tuple."""
+    positions: dict[str, list[int]] = {}  # conclusion -> positions of the arguments concluding it
+    for i, arg in enumerate(arguments):
+        positions.setdefault(arg.conclusion, []).append(i)
+    concluded = frozenset(positions)
+    contrary = framework.contraries.__getitem__
+    shared: dict[frozenset[str], tuple[str, ...]] = {}
+    attackers: dict[str, tuple[str, ...]] = {}
     for arg in arguments:
-        target = attackers[arg.id] = []
         try:
-            wanted = {framework.contraries[a] for a in arg.support}  # distinct, so an attacker is listed once
+            key = concluded.intersection(map(contrary, arg.support))
         except KeyError as missing:
             raise SchemaError(f"argument {arg.id!r}: {missing.args[0]!r} is not an assumption") from None
-        for contrary in wanted:
-            targets_by_contrary.setdefault(contrary, []).append(target)
-    for arg in arguments:  # sources in argument order, so every list comes out sorted
-        for target in targets_by_contrary.get(arg.conclusion, ()):
-            target.append(arg.id)
-    return {arg_id: tuple(lst) for arg_id, lst in attackers.items()}
+        found = shared.get(key)
+        if found is None:
+            # Distinct contraries, so an attacker is listed once; sorted positions keep argument order.
+            found_at = sorted(chain.from_iterable(positions[c] for c in key))
+            found = shared[key] = tuple(arguments[i].id for i in found_at)
+        attackers[arg.id] = found
+    return attackers
 
 
 @dataclass(frozen=True)
@@ -333,9 +370,12 @@ def to_aaf(arguments: Sequence[Argument], attacks: Iterable[tuple[str, str]]) ->
 
 def ordered_premises(premises: Iterable[str], premise_order: Mapping[str, int] | None = None) -> list[str]:
     """Display order: by position in premise_order, unlisted sentences last,
-    ties by name."""
+    ties by name.  Listed sentences must have distinct positions."""
     order = premise_order or {}
-    return sorted(premises, key=lambda s: (order.get(s, len(order)), s))
+    try:
+        return sorted(premises, key=order.__getitem__)
+    except KeyError:  # some premise is unlisted
+        return sorted(premises, key=lambda s: (order.get(s, len(order)), s))
 
 
 def render_argument(argument: Argument, premise_order: Mapping[str, int] | None = None) -> str:

@@ -223,7 +223,7 @@ def _epistemic_framework_payload(spec: EpistemicSpec, semantics: str) -> dict:
         "diagnostic": report.diagnostic,
         "assumptions": {
             str(lit): report.statuses[arg.id].status
-            for lit, arg in zip(spec.assumptions, assumption_arguments(aaf))
+            for lit, arg in zip(spec.assumptions, assumption_arguments(aaf, spec))
         },
     }
 

@@ -338,11 +338,11 @@ def epistemic_framework(spec: EpistemicSpec, extra_facts: Iterable[Literal] = ()
     )
 
 
-def assumption_arguments(aaf: Aaf) -> tuple[Argument, ...]:
-    """The argument {a} |- a of each assumption a of an epistemic framework,
-    in declaration order: an epistemic framework has no axioms, so these are
-    the arguments that use no rule, and every assumption is relevant."""
-    return tuple(arg for arg in aaf.arguments if not arg.rules_used)
+def assumption_arguments(aaf: Aaf, spec: EpistemicSpec) -> tuple[Argument, ...]:
+    """The argument {a} |- a of each assumption a of spec, in declaration
+    order: derive_arguments numbers these first, and every assumption of an
+    epistemic framework is relevant."""
+    return aaf.arguments[:len(spec.assumptions)]
 
 
 @dataclass(frozen=True)
@@ -394,13 +394,13 @@ def analyze_epistemic(
     aaf, report = evaluate(build.framework, "Y", build.relevant, semantics)
 
     verdicts: list[AssumptionVerdict] = []
-    for lit, argument in zip(spec.assumptions, assumption_arguments(aaf)):
+    for lit, argument in zip(spec.assumptions, assumption_arguments(aaf, spec)):
         arg_id = argument.id
         status = report.statuses[arg_id]
         atts = aaf.attackers_of[arg_id]
+        counter_attackers = set().union(*map(aaf.attackers_of.__getitem__, atts))
         defenders = tuple(sorted(
-            {d for att in atts for d in aaf.attackers_of[att] if report.statuses[d].in_all},
-            key=aaf.index.__getitem__,
+            (d for d in counter_attackers if report.statuses[d].in_all), key=aaf.index.__getitem__
         ))
         verdict = {"skeptically-justified": "justified", "skeptically-rejected": "rejected"}.get(
             status.status, "undecided"

@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import permutations
 
-from .aba import Aaf, Argument, TreeNode, to_aaf
+from .aba import Aaf, Argument, to_aaf
 from .core import (
     ActionMatrix,
     Disjunct,
@@ -157,7 +157,7 @@ def random_aaf(seed: int, max_arguments: int = 12, max_density: float = 0.4,
     n = rng.randint(1, max_arguments)
     density = rng.uniform(0.0, max_density)
     args = tuple(
-        Argument(f"A{i + 1}", f"s{i + 1}", frozenset(), frozenset(), frozenset(), TreeNode(f"s{i + 1}"))
+        Argument(f"A{i + 1}", f"s{i + 1}", frozenset(), frozenset(), (f"s{i + 1}", None, ()))
         for i in range(n)
     )
     attacks = set()

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from itertools import product
 
 import pytest
@@ -309,16 +310,23 @@ def test_max_depth_cap_ignores_heads_that_are_not_kept():
     assert err.value.cap == "max_depth"
 
 
+def count_built_proofs(monkeypatch) -> Counter:
+    """Count, per rule head, the proofs that derive_arguments builds."""
+    built: Counter = Counter()
+    combine = aba._combine
+
+    def counting(rule, rule_bit, child_options):
+        for proof in combine(rule, rule_bit, child_options):
+            built[rule.head] += 1
+            yield proof
+
+    monkeypatch.setattr(aba, "_combine", counting)
+    return built
+
+
 def test_max_arguments_bounds_the_work_of_one_rule(monkeypatch):
     # One kept rule over 16 body sentences with two proofs each: 2^16 combinations.
-    built = []
-
-    class CountingTreeNode(TreeNode):
-        def __init__(self, *args, **kwargs):
-            built.append(None)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(aba, "TreeNode", CountingTreeNode)
+    built = count_built_proofs(monkeypatch)
     body = tuple(f"p{i}" for i in range(16))
     rules = [Rule(f"{side}{i}", p) for i, p in enumerate(body) for side in "xy"]
     rules.append(Rule("goal", "g", body))
@@ -331,12 +339,46 @@ def test_max_arguments_bounds_the_work_of_one_rule(monkeypatch):
     with pytest.raises(ResourceCapError) as err:
         derive_arguments(fw, max_arguments=10, keep_conclusions={"g"})
     assert (err.value.cap, err.value.limit) == ("max_arguments", 10)
-    assert len(built) <= 48  # 32 body proofs, 11 goal proofs and the assumption leaf
+    assert sum(built.values()) <= 43  # 32 body proofs and 11 goal proofs
+
+
+def test_max_arguments_bounds_the_proofs_of_one_sentence(monkeypatch):
+    # s <- p0, ..., p5 with two proofs of each p_i: 64 proofs of s, below the
+    # one kept rule g <- s.  The cap stops s's list as it is filled.
+    built = count_built_proofs(monkeypatch)
+    body = tuple(f"p{i}" for i in range(6))
+    rules = [Rule(f"{side}{i}", p) for i, p in enumerate(body) for side in "xy"]
+    rules += [Rule("sub", "s", body), Rule("goal", "g", ("s",))]
+    fw = AbaFramework(
+        language=frozenset(body) | {"s", "g", "a", "na"},
+        rules=tuple(rules),
+        assumptions=("a",),
+        contraries={"a": "na"},
+    )
+    with pytest.raises(ResourceCapError) as err:
+        derive_arguments(fw, max_arguments=10, keep_conclusions={"g"})
+    assert (err.value.cap, err.value.limit) == ("max_arguments", 10)
+    assert built["s"] <= 11
+    assert built["g"] == 0
+    assert len(derive_arguments(fw, max_arguments=64, keep_conclusions={"g"})) == 64
+
+
+def test_trees_and_rule_sets_are_built_when_first_read():
+    fw = wide_mask_framework(0)
+    caps = dict(max_depth=64, max_arguments=100_000, keep_conclusions=None)
+    args = derive_arguments(fw, **caps)
+    assert not any({"tree", "rules_used"} & vars(a).keys() for a in args)
+    assert [(a.rules_used, a.tree) for a in args] == [
+        (rules_used, tree) for _, _, _, _, rules_used, tree in reference_arguments(fw, **caps)
+    ]
+    assert all({"tree", "rules_used"} <= vars(a).keys() for a in args)
 
 
 # Reference derivation: backward chaining with the cycle guard and no shared
 # proofs, every body sentence derived afresh on every branch.  Like
-# derive_arguments, it applies only rules with a kept head at the top level.
+# derive_arguments, it applies only rules with a kept head at the top level,
+# and a sentence below the top level with more than max_arguments proofs hits
+# the max_arguments cap.
 
 
 @dataclass(frozen=True)
@@ -365,6 +407,8 @@ def reference_arguments(framework, *, max_depth, max_arguments, keep_conclusions
             if any(b in path for b in rule.body):
                 continue
             out.extend(_apply_rule(rule, path, depth))
+            if len(out) > max_arguments:
+                raise ResourceCapError("max_arguments", max_arguments)
         return out
 
     def _apply_rule(rule, path, depth):
@@ -476,6 +520,76 @@ def test_attackers_match_the_all_pairs_definition(framework, keep_mask):
     attacks = compute_attacks(args, framework)
     assert list(attacks) == [a.id for a in args]
     assert attacks == reference_attacks(args, framework)
+
+
+def per_argument_attacks(arguments, framework):
+    """compute_attacks with one attacker list per argument, filled one
+    attacker at a time from an index of the lists by contrary."""
+    attackers = {}
+    targets_by_contrary = {}
+    for arg in arguments:
+        target = attackers[arg.id] = []
+        try:
+            wanted = {framework.contraries[a] for a in arg.support}
+        except KeyError as missing:
+            raise SchemaError(f"argument {arg.id!r}: {missing.args[0]!r} is not an assumption") from None
+        for contrary in wanted:
+            targets_by_contrary.setdefault(contrary, []).append(target)
+    for arg in arguments:
+        for target in targets_by_contrary.get(arg.conclusion, ()):
+            target.append(arg.id)
+    return {arg_id: tuple(lst) for arg_id, lst in attackers.items()}
+
+
+def attack_outcome(compute, arguments, framework):
+    try:
+        return compute(arguments, framework)
+    except SchemaError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    framework=flat_frameworks(),
+    keep_mask=st.one_of(st.none(), st.integers(0, 255)),
+    drop_mask=st.one_of(st.just(0), st.integers(1, 255)),
+)
+def test_shared_attackers_match_the_per_argument_reference(framework, keep_mask, drop_mask):
+    keep = None if keep_mask is None else {f"s{i}" for i in range(8) if keep_mask >> i & 1}
+    try:
+        args = derive_arguments(framework, max_arguments=500, keep_conclusions=keep)
+    except ResourceCapError:
+        reject()
+    # Drop the contraries of some assumptions: a support sentence missing
+    # from the framework is a SchemaError that names it.
+    dropped = {a for i, a in enumerate(framework.assumptions) if drop_mask >> i & 1}
+    other = replace(framework, contraries={a: c for a, c in framework.contraries.items() if a not in dropped})
+    got = attack_outcome(compute_attacks, args, other)
+    assert got == attack_outcome(per_argument_attacks, args, other)
+    if isinstance(got, str):
+        assert any(f"{a!r} is not an assumption" in got for a in dropped)
+        return
+    # Arguments whose supports have the same concluded contraries share one tuple.
+    concluded = {a.conclusion for a in args}
+    shared = {}
+    for a in args:
+        key = frozenset(framework.contraries[s] for s in a.support) & concluded
+        assert got[a.id] is shared.setdefault(key, got[a.id])
+
+
+def test_contraries_that_no_argument_concludes_do_not_split_attacker_tuples():
+    # nb is never concluded, so {a} and {a, b} have the same attackers.
+    fw = AbaFramework(
+        language=frozenset({"a", "b", "na", "nb", "p", "q"}),
+        rules=(Rule("r1", "p", ("a", "b")), Rule("r2", "na", ("q",)), Rule("r3", "q")),
+        assumptions=("a", "b"),
+        contraries={"a": "na", "b": "nb"},
+    )
+    args = derive_arguments(fw)
+    attacks = compute_attacks(args, fw)
+    assert attacks == {"A1": ("A4",), "A2": (), "A3": ("A4",), "A4": (), "A5": ()}
+    assert attacks["A1"] is attacks["A3"]
+    assert attacks["A2"] is attacks["A4"] is attacks["A5"]
 
 
 def test_sentence_below_a_rule_cycle():

@@ -8,6 +8,7 @@ from vdarg import (
     ActionMatrix,
     Disjunct,
     DutyVector,
+    EpistemicRule,
     EpistemicSpec,
     Literal,
     Principle,
@@ -193,3 +194,27 @@ class TestAttackPairsStayOffTheDecidePath:
         result = analyze_epistemic(eldercare.epistemic, sorted(eldercare.situation("S2").positives))
         explain_situation(result)
         assert "attacks" not in vars(result.aaf)
+
+    def test_no_tree_or_rule_set_is_built(self, eldercare):
+        cases = [
+            (eldercare.epistemic, sorted(eldercare.situation("S2").positives)),
+            (chain_spec(6), ["c0"]),
+        ]
+        for spec, perceptions in cases:
+            result = analyze_epistemic(spec, perceptions)
+            assert len(result.aaf.arguments) > len(spec.assumptions)
+            explain_situation(result)
+            assert not any({"tree", "rules_used"} & vars(arg).keys() for arg in result.aaf.arguments)
+
+
+def chain_spec(length: int) -> EpistemicSpec:
+    """c0 -> c1 -> ... -> cL, link i through assumption a_i or b_i, so c_k has
+    2^k proofs; c_L concludes the contrary of p, and c_2 that of a_4."""
+    links = range(1, length + 1)
+    rules = [(Literal(f"c{i}"), (Literal(f"c{i - 1}"), Literal(f"{x}{i}"))) for i in links for x in "ab"]
+    rules += [(Literal("p", False), (Literal(f"c{length}"),)), (Literal("a4", False), (Literal("c2"),))]
+    return EpistemicSpec(
+        atoms=tuple(f"c{i}" for i in range(length + 1)) + tuple(f"{x}{i}" for i in links for x in "ab") + ("p",),
+        assumptions=tuple(Literal(f"{x}{i}") for i in links for x in "ab") + (Literal("p"),),
+        rules=tuple(EpistemicRule(f"r{n + 1}", head, body) for n, (head, body) in enumerate(rules)),
+    )

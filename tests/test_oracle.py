@@ -62,9 +62,9 @@ class TestBruteForceSolutions:
 class TestBruteForceExtensions:
     def test_nixon_complete_count(self):
         aaf = random_aaf(0)  # placeholder; replaced below with the fixed graph
-        from vdarg import Argument, TreeNode, to_aaf
+        from vdarg import Argument, to_aaf
         args = tuple(
-            Argument(f"Y{i}", f"s{i}", frozenset(), frozenset(), frozenset(), TreeNode(f"s{i}"))
+            Argument(f"Y{i}", f"s{i}", frozenset(), frozenset(), (f"s{i}", None, ()))
             for i in range(1, 5)
         )
         aaf = to_aaf(args, {("Y4", "Y1"), ("Y4", "Y3"), ("Y3", "Y2"), ("Y3", "Y4")})

@@ -19,7 +19,6 @@ from vdarg import (
     Principle,
     ResourceCapError,
     Situation,
-    TreeNode,
     UnknownNameError,
     VdaAgent,
     VdaLanguage,
@@ -38,12 +37,12 @@ from vdarg.semantics import SEMANTICS
 
 
 def placeholder(name: str) -> Argument:
-    return Argument(name, name, frozenset(), frozenset(), frozenset(), TreeNode(name))
+    return Argument(name, name, frozenset(), frozenset(), (name, None, ()))
 
 
 def make_aaf(n: int, attacks: set[tuple[int, int]]) -> Aaf:
     args = tuple(
-        Argument(f"A{i}", f"s{i}", frozenset(), frozenset(), frozenset(), TreeNode(f"s{i}"))
+        Argument(f"A{i}", f"s{i}", frozenset(), frozenset(), (f"s{i}", None, ()))
         for i in range(1, n + 1)
     )
     return to_aaf(args, ((f"A{i}", f"A{j}") for i, j in attacks))
