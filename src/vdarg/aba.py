@@ -29,10 +29,10 @@ built from the proof when first read.
 An argument attacks another when its conclusion is the contrary of an
 assumption in the other's support, so its attackers depend only on which of
 its support's contraries some argument concludes; ``compute_attacks`` builds
-one attacker tuple per distinct set of those and shares it.  ``Aaf`` stores
-each argument's attackers in argument order and derives the set of attack
-pairs from them.  Only flat frameworks are supported: no assumption may head
-a rule.
+one attacker tuple per distinct set of those and shares it.  ``Aaf`` maps
+each argument, in argument order, to its attackers and derives the set of
+attack pairs from them.  Only flat frameworks are supported: no assumption
+may head a rule.
 """
 
 from __future__ import annotations
@@ -304,7 +304,8 @@ def compute_attacks(
 
 @dataclass(frozen=True)
 class Aaf:
-    """Abstract argumentation framework: indexed arguments and each one's attackers, in argument order."""
+    """Abstract argumentation framework: indexed arguments and each one's attackers,
+    both the map and each attacker tuple in argument order."""
 
     arguments: tuple[Argument, ...]
     attackers_of: Mapping[str, tuple[str, ...]]
@@ -313,8 +314,8 @@ class Aaf:
         ids = {a.id for a in self.arguments}
         if len(ids) != len(self.arguments):
             raise SchemaError("duplicate argument ids")
-        if self.attackers_of.keys() != ids:
-            raise SchemaError("the attackers must be listed for exactly the argument ids")
+        if tuple(self.attackers_of) != self.ids:
+            raise SchemaError("the attackers must be listed for exactly the argument ids, in argument order")
         unknown = set().union(*self.attackers_of.values()) - ids
         if unknown:
             raise SchemaError(f"attackers {sorted(unknown)} are unknown arguments")
@@ -337,24 +338,8 @@ class Aaf:
         """The attack relation as (attacker, attacked) id pairs."""
         return frozenset((src, dst) for dst, srcs in self.attackers_of.items() for src in srcs)
 
-    @cached_property
-    def classes(self) -> tuple[tuple[tuple[str, ...], tuple[int, ...]], ...]:
-        """Arguments grouped by identical attackers (see attacker_classes)."""
-        return attacker_classes(self.ids, self.attackers_of)
-
     def argument(self, argument_id: str) -> Argument:
         return self.by_id[argument_id]
-
-
-def attacker_classes(
-    ids: Sequence[str], attackers_of: Mapping[str, tuple[str, ...]]
-) -> tuple[tuple[tuple[str, ...], tuple[int, ...]], ...]:
-    """The ids grouped by identical attackers: each class's attacker tuple
-    and its members' positions in ids, classes ordered by first member."""
-    groups: dict[tuple[str, ...], list[int]] = {}
-    for i, node in enumerate(ids):
-        groups.setdefault(attackers_of[node], []).append(i)
-    return tuple((key, tuple(members)) for key, members in groups.items())
 
 
 def to_aaf(arguments: Sequence[Argument], attacks: Iterable[tuple[str, str]]) -> Aaf:

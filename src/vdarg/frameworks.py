@@ -36,6 +36,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import count
 
 from . import core
 from .aba import AbaFramework, Aaf, Argument, Rule, compute_attacks, derive_arguments
@@ -205,7 +206,6 @@ class PracticalResult:
     justified_actions: frozenset[str]
     credulous_actions: frozenset[str]
     solutions: frozenset[str]
-    solution_cycle: tuple[str, ...] | None
 
     @cached_property
     def aaf(self) -> Aaf:
@@ -225,7 +225,7 @@ class PracticalResult:
             Extension(frozenset(arg_id for arg_id, a in support.items() if a in ext.members), ext.semantics)
             for ext in decided.extensions
         )
-        statuses = {arg_id: replace(decided.statuses[a], argument_id=arg_id) for arg_id, a in support.items()}
+        statuses = {arg_id: decided.statuses[a] for arg_id, a in support.items()}
         return replace(decided, extensions=extensions, statuses=statuses)
 
 
@@ -276,7 +276,6 @@ def analyze_practical(agent: VdaAgent, situation_id: str, semantics: str = "grou
         justified_actions=frozenset(justified),
         credulous_actions=frozenset(credulous),
         solutions=sol.actions,
-        solution_cycle=sol.cycle,
     )
 
 
@@ -311,15 +310,15 @@ def epistemic_framework(spec: EpistemicSpec, extra_facts: Iterable[Literal] = ()
         if lit in assumption_set or lit in facts:
             continue
         facts.append(lit)
-    fact_count = 0
+    # Facts take the ids f1, f2, ... that no epistemic rule already uses.
+    used_ids = {rule.id for rule in spec.rules}
+    fact_ids = (rid for rid in (f"f{k}" for k in count(1)) if rid not in used_ids)
     for lit in facts:
         shape = (str(lit), ())
         if shape in seen_shapes:
             continue
         seen_shapes.add(shape)
-        fact_count += 1
-        rid = f"f{fact_count}"
-        rules.append(Rule(rid, shape[0], ()))
+        rules.append(Rule(next(fact_ids), shape[0], ()))
 
     framework = AbaFramework(
         language=language,

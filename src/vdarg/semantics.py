@@ -9,10 +9,11 @@ Lifting is injective and monotone, so the least (grounded), the maximal
 (preferred) and the undecided-free (stable) ones correspond as well.  In the
 flat ABA frameworks compiled here an argument is attacked only through its
 assumptions, so this is the assumption-level semantics of flat ABA, derived
-from the attack graph alone.  The classes are ``Aaf.classes``; acceptance
-statuses are decided once per class too.  A graph can also be given as an
-ordered map from each node to its attackers: a practical decision runs on
-one node per qualifying action (see ``frameworks``).
+from the attack graph alone.  The graph is an ordered map from each node
+to its attackers: an Aaf's ``attackers_of``, or one node per qualifying
+action for a practical decision (see ``frameworks``).  ``_Graph`` groups the
+nodes into classes itself, and ``acceptance_status`` decides one status
+record per class, which all members of the class share.
 
 A complete extension is fixed by its IN set S: S is complete exactly when
 it is conflict-free and S = F(S), where F(S) is the set of classes that S
@@ -35,7 +36,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
-from .aba import Aaf, attacker_classes
+from .aba import Aaf
 from .errors import ResourceCapError, UnknownNameError
 
 SEMANTICS = ("grounded", "complete", "preferred", "stable")
@@ -57,37 +58,30 @@ def _bits(mask: int):
         mask ^= low
 
 
-_Classes = tuple[tuple[tuple[str, ...], tuple[int, ...]], ...]
-
-
-def _nodes(graph: Aaf | Mapping[str, tuple[str, ...]]) -> tuple[tuple[str, ...], _Classes]:
-    """The node ids of an attack graph and its classes of equal attackers.
-
-    The graph is an Aaf, whose nodes are its arguments, or an ordered map
-    from each node to its attackers.
-    """
-    if isinstance(graph, Aaf):
-        return graph.ids, graph.classes
-    ids = tuple(graph)
-    return ids, attacker_classes(ids, graph)
-
-
 class _Graph:
-    """Attack graph over classes of nodes with identical attacker sets.
+    """Attack graph over classes of nodes with identical attackers.
 
-    Classes are numbered by their first member in node order; class d
-    attacks class c when some member of d attacks the members of c.
+    Built from an Aaf, whose nodes are its arguments, or from an ordered map
+    from each node to its attackers.  Classes are numbered by their first
+    member in node order; class d attacks class c when some member of d
+    attacks the members of c.
     """
 
-    def __init__(self, ids: tuple[str, ...], classes: _Classes):
-        self.ids = ids
-        self.members = [members for _, members in classes]
-        class_of = {ids[i]: c for c, members in enumerate(self.members) for i in members}
-        n = self.n = len(self.members)
+    def __init__(self, graph: Aaf | Mapping[str, tuple[str, ...]]):
+        attackers_of = getattr(graph, "attackers_of", graph)
+        ids = self.ids = tuple(attackers_of)
+        index: dict[tuple[str, ...], int] = {}  # attacker tuple -> class
+        self.class_at = [index.setdefault(key, len(index)) for key in attackers_of.values()]
+        self.keys = tuple(index)
+        n = self.n = len(index)
+        self.members: list[list[int]] = [[] for _ in range(n)]
+        for i, c in enumerate(self.class_at):
+            self.members[c].append(i)
+        class_of = dict(zip(ids, self.class_at))
         self.lifted = [sum(1 << i for i in members) for members in self.members]
         self.attackers = [0] * n
         self.victims = [0] * n
-        for c, (key, _) in enumerate(classes):
+        for c, key in enumerate(self.keys):
             for d in {class_of[a] for a in key}:
                 self.attackers[c] |= 1 << d
                 self.victims[d] |= 1 << c
@@ -199,9 +193,12 @@ def extensions_for(
     aaf: Aaf | Mapping[str, tuple[str, ...]], semantics: str, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> tuple[Extension, ...]:
     """The extensions of an Aaf, or of an ordered node -> attackers map."""
+    return _extensions(_Graph(aaf), semantics, budget)
+
+
+def _extensions(g: _Graph, semantics: str, budget: int) -> tuple[Extension, ...]:
     if semantics not in SEMANTICS:
         raise UnknownNameError(f"unknown semantics {semantics!r}; expected one of {SEMANTICS}")
-    g = _Graph(*_nodes(aaf))
     least = _propagate(g, 0, 0, 0)
     assert least is not None  # the grounded extension is complete
     if semantics == "grounded":
@@ -217,7 +214,6 @@ def extensions_for(
 
 @dataclass(frozen=True)
 class ArgumentStatus:
-    argument_id: str
     status: str
     in_all: bool
     in_some: bool
@@ -257,27 +253,25 @@ def acceptance_status(
     least one but not all; skeptically/credulously-rejected: attacked by an
     argument with the corresponding justified status; undecided otherwise.
     With no extension at all every status is vacuous, with in_all and
-    in_some both false.
+    in_some both false.  Members of a class share their attackers and their
+    extensions, so each class gets one status record, read off its first
+    member, and every member maps to that record.
     """
-    exts = extensions_for(aaf, semantics, budget)
-    ids, classes = _nodes(aaf)
+    g = _Graph(aaf)
+    exts = _extensions(g, semantics, budget)
     if not exts:
-        statuses = {
-            arg_id: ArgumentStatus(arg_id, "vacuous", False, False) for arg_id in ids
-        }
+        vacuous = ArgumentStatus("vacuous", False, False)
         return AcceptanceReport(
-            semantics, exts, statuses, vacuous=True,
+            semantics, exts, dict.fromkeys(g.ids, vacuous), vacuous=True,
             diagnostic=f"{semantics} semantics yielded no extensions; statuses are vacuous",
         )
-    # Members of a class share their attackers and their extensions, so
-    # each class gets one verdict, read off its first member.
     member_sets = [ext.members for ext in exts]
     in_all = frozenset.intersection(*member_sets)
     in_some = frozenset.union(*member_sets)
     credulous_only = in_some - in_all
-    verdicts = {}  # argument position -> (status, in_all, in_some)
-    for attackers, members in classes:
-        first = ids[members[0]]
+    records = []
+    for attackers, members in zip(g.keys, g.members):
+        first = g.ids[members[0]]
         if first in in_all:
             status = "skeptically-justified"
         elif first in in_some:
@@ -288,6 +282,5 @@ def acceptance_status(
             status = "credulously-rejected"
         else:
             status = "undecided"
-        verdicts.update(dict.fromkeys(members, (status, first in in_all, first in in_some)))
-    statuses = {arg_id: ArgumentStatus(arg_id, *verdicts[i]) for i, arg_id in enumerate(ids)}
-    return AcceptanceReport(semantics, exts, statuses)
+        records.append(ArgumentStatus(status, first in in_all, first in in_some))
+    return AcceptanceReport(semantics, exts, dict(zip(g.ids, map(records.__getitem__, g.class_at))))

@@ -263,6 +263,8 @@ def test_aaf_rejects_unknown_attack_endpoints():
         Aaf(args, {**attackers, "ghost": ()})
     with pytest.raises(SchemaError, match="exactly the argument ids"):
         Aaf(args, {a.id: () for a in args[1:]})
+    with pytest.raises(SchemaError, match="in argument order"):
+        Aaf(args, dict(reversed(attackers.items())))
     with pytest.raises(SchemaError, match="duplicate"):
         Aaf(args + args[:1], attackers)
 

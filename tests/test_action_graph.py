@@ -166,6 +166,9 @@ def assert_agrees_with_reference(agent: VdaAgent, situation_id: str, semantics: 
     assert result.aaf == ref.aaf
     assert [e.members for e in result.report.extensions] == [e.members for e in ref.report.extensions]
     assert list(result.report.statuses.items()) == list(ref.report.statuses.items())
+    # Each argument holds its support action's status record, not a copy.
+    decided = result.action_report.statuses
+    assert all(st is decided[result.build.support[x]] for x, st in result.report.statuses.items())
     assert (result.report.vacuous, result.report.diagnostic) == (ref.report.vacuous, ref.report.diagnostic)
 
 

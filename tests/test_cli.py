@@ -163,6 +163,16 @@ class TestEpistemic:
         assert "P^J: lb, mrt, r, rm, ab" in out
         assert "S^J: lb, mrt, r, rm, ab, ¬fc, ¬ni, ¬w, ¬pi, ¬e, ¬iw" in out
 
+    def test_fact_rules_skip_the_ids_of_epistemic_rules(self, run, tmp_path, eldercare_path):
+        data = json.loads(eldercare_path.read_text(encoding="utf-8"))
+        rules = data["epistemic"]["rules"]
+        data["epistemic"]["rules"] = {("f1" if rid == "r11" else rid): rule for rid, rule in rules.items()}
+        path = tmp_path / "fact-ids.json"
+        path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+        code, out, err = run("epistemic", str(path), "S2")
+        assert (code, err) == (0, "")
+        assert "S^J: lb, mrt, r, rm, ab, ¬fc, ¬ni, ¬w, ¬pi, ¬e, ¬iw" in out
+
     def test_explicit_perceptions(self, run, eldercare_path):
         code, out, _ = run(
             "epistemic", str(eldercare_path), "--perceptions", "mrt,r,rm,fc,lb,ab"

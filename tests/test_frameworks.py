@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -435,6 +436,18 @@ class TestEndToEnd:
         assert decision.situation_id == "S1"
         direct = analyze_practical(eldercare, "S1")
         assert decision.practical.action_status == direct.action_status
+
+    def test_fact_rules_skip_the_ids_of_epistemic_rules(self, eldercare):
+        spec = eldercare.epistemic
+        rules = tuple(replace(rule, id="f1") if rule.id == "r11" else rule for rule in spec.rules)
+        agent = replace(eldercare, epistemic=replace(spec, rules=rules))
+        perceptions = sorted(eldercare.situation("S2").positives)
+        decision = end_to_end_decide(agent, perceptions)
+        assert decision.situation_id == "S2J"
+        assert decision.practical.action_status == end_to_end_decide(eldercare, perceptions).practical.action_status
+        rule_ids = [rule.id for rule in decision.epistemic.build.framework.rules]
+        assert "f1" in rule_ids
+        assert len(set(rule_ids)) == len(rule_ids)
 
     def test_unregistered_justified_valuation_raises(self, eldercare):
         # lb and ab adjudicate cleanly, but no declared situation carries

@@ -33,7 +33,7 @@ from vdarg import (
 )
 from vdarg.frameworks import evaluate
 from vdarg.oracle import brute_force_extensions, random_aaf
-from vdarg.semantics import SEMANTICS
+from vdarg.semantics import SEMANTICS, _Graph
 
 
 def placeholder(name: str) -> Argument:
@@ -278,7 +278,7 @@ def reference_statuses(aaf: Aaf, relation, semantics: str) -> dict[str, Argument
     acceptance_status ran before it decided one status per class."""
     exts = extensions_for(aaf, semantics)
     if not exts:
-        return {arg_id: ArgumentStatus(arg_id, "vacuous", False, False) for arg_id in aaf.ids}
+        return {arg_id: ArgumentStatus("vacuous", False, False) for arg_id in aaf.ids}
     member_sets = [ext.members for ext in exts]
     in_all = {arg_id: all(arg_id in s for s in member_sets) for arg_id in aaf.ids}
     in_some = {arg_id: any(arg_id in s for s in member_sets) for arg_id in aaf.ids}
@@ -295,24 +295,26 @@ def reference_statuses(aaf: Aaf, relation, semantics: str) -> dict[str, Argument
             status = "credulously-rejected"
         else:
             status = "undecided"
-        statuses[arg_id] = ArgumentStatus(arg_id, status, in_all[arg_id], in_some[arg_id])
+        statuses[arg_id] = ArgumentStatus(status, in_all[arg_id], in_some[arg_id])
     return statuses
 
 
 def assert_index_matches_the_reference(aaf: Aaf, relation) -> int:
-    """Check attackers_of, classes and every semantics' statuses against the
-    pair relation the framework was built from; return the number of
-    semantics with vacuous statuses."""
+    """Check attackers_of, the class index and every semantics' statuses
+    against the pair relation the framework was built from; return the
+    number of semantics with vacuous statuses."""
     attackers = reference_attackers(aaf, relation)
     assert aaf.attackers_of == attackers
     assert aaf.attacks == frozenset(relation)
-    positions = [i for _, members in aaf.classes for i in members]
+    g = _Graph(aaf)
+    assert g.ids == aaf.ids
+    positions = [i for members in g.members for i in members]
     assert sorted(positions) == list(range(len(aaf.ids)))
-    assert [members[0] for _, members in aaf.classes] == sorted(members[0] for _, members in aaf.classes)
-    for key, members in aaf.classes:
+    assert [members[0] for members in g.members] == sorted(members[0] for members in g.members)
+    for c, (key, members) in enumerate(zip(g.keys, g.members)):
         assert list(members) == sorted(members)
-        assert all(attackers[aaf.ids[i]] == key for i in members)
-    assert len({key for key, _ in aaf.classes}) == len(aaf.classes)
+        assert all(attackers[aaf.ids[i]] == key and g.class_at[i] == c for i in members)
+    assert len(set(g.keys)) == len(g.keys) == len(g.members) == g.n
     vacuous = 0
     for semantics in SEMANTICS:
         report = acceptance_status(aaf, semantics)
@@ -341,6 +343,21 @@ class TestIndex:
         samples += [random_relation(seed, max_arguments=14, max_density=0.5) for seed in range(10_000, 10_050)]
         vacuous = sum(assert_index_matches_the_reference(aaf, relation) for aaf, relation in samples)
         assert vacuous > 0  # stable without extensions is in the sample
+
+    def test_arguments_with_equal_attackers_share_one_status_record(self):
+        samples = [random_relation(seed, max_arguments=12)[0] for seed in range(150)]
+        shared_classes = 0
+        for aaf in samples:
+            classes = len(set(aaf.attackers_of.values()))
+            shared_classes += classes < len(aaf.ids)
+            for semantics in SEMANTICS:
+                report = acceptance_status(aaf, semantics)
+                record_of: dict[tuple[str, ...], ArgumentStatus] = {}
+                for arg_id, status in report.statuses.items():
+                    assert record_of.setdefault(aaf.attackers_of[arg_id], status) is status
+                distinct = len({id(status) for status in report.statuses.values()})
+                assert distinct == (1 if report.vacuous else classes), semantics
+        assert shared_classes > 0  # some class has several members
 
     @settings(max_examples=150, deadline=None)
     @given(case=aafs_with_clones())
