@@ -286,13 +286,15 @@ def compute_attacks(
         positions.setdefault(arg.conclusion, []).append(i)
     concluded = frozenset(positions)
     contrary = framework.contraries.__getitem__
+    has_contrary = frozenset(framework.contraries)
     shared: dict[frozenset[str], tuple[str, ...]] = {}
     attackers: dict[str, tuple[str, ...]] = {}
     for arg in arguments:
-        try:
-            key = concluded.intersection(map(contrary, arg.support))
-        except KeyError as missing:
-            raise SchemaError(f"argument {arg.id!r}: {missing.args[0]!r} is not an assumption") from None
+        # Checked first: the intersection stops reading once it holds all of concluded.
+        if not has_contrary.issuperset(arg.support):
+            missing = next(s for s in arg.support if s not in has_contrary)
+            raise SchemaError(f"argument {arg.id!r}: {missing!r} is not an assumption")
+        key = concluded.intersection(map(contrary, arg.support))
         found = shared.get(key)
         if found is None:
             # Distinct contraries, so an attacker is listed once; sorted positions keep argument order.

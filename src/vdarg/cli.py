@@ -392,14 +392,14 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         agent, sid = random_vda(spec)
         if core.solutions(agent, sid) != brute_force_solutions(agent, sid):
             mismatches += 1
-        # The decision runs on the action graph; its lifted extensions must
-        # be those of the argument graph, which it never searched.
+        # The decision runs on the compiler's argument index; its extensions
+        # must be those of the derived argument graph, found by brute force.
         for semantics in SEMANTICS:
             result = analyze_practical(agent, sid, semantics)
             if len(result.aaf.arguments) > MAX_ORACLE_ARGUMENTS:
                 break
-            lifted = {e.members for e in result.report.extensions}
-            if lifted != brute_force_extensions(result.aaf, semantics):
+            decided = {e.members for e in result.report.extensions}
+            if decided != brute_force_extensions(result.aaf, semantics):
                 mismatches += 1
     for i in range(args.aafs):
         aaf = random_aaf(args.seed + i)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from .aba import ordered_premises
 from .errors import SchemaError, UnknownNameError
-from .frameworks import EpistemicResult, PracticalResult, RuleInfo
+from .frameworks import EpistemicResult, PracticalResult
 
 _VvaluePairs = tuple[tuple[str, int], ...]
 
@@ -52,9 +52,10 @@ def _value_pairs(values: Mapping[str, int]) -> _VvaluePairs:
 
 
 def explain_action(result: PracticalResult, action: str) -> Explanation:
-    """Explain one action from the action-level decision: an argument is in
-    an extension exactly when its support action is, so the argument graph
-    is never built."""
+    """Explain one action from the decision over the compiler's argument
+    index, by argument id: each attacker is a principle rule whose body is
+    its disjunct and its source's vector, so the argument graph is never
+    built."""
     build = result.build
     agent = build.agent
     if action not in agent.language.actions:
@@ -63,40 +64,32 @@ def explain_action(result: PracticalResult, action: str) -> Explanation:
 
     matrix = agent.matrix_for(build.situation_id)
     principle = agent.require_principle()
-    decided, arguments, support, attackers_of = (
-        result.action_report, build.arguments, build.support, build.attackers_of,
-    )
-
-    def rule_info(att_id: str) -> RuleInfo:
-        return build.rule_info[arguments[att_id].id]
+    report, arguments, support, attackers_of = result.report, build.arguments, build.support, build.attackers_of
 
     def citation(att_id: str, extensions: tuple[str, ...]) -> AttackerCitation:
         rule = arguments[att_id]
-        info = rule_info(att_id)
+        disjunct, source = rule.body[0], support[att_id]
         return AttackerCitation(
             argument_id=att_id,
             conclusion=rule.head,
-            premises=tuple(ordered_premises(rule.body, build.display_order)),
+            premises=rule.body,
             extensions=extensions,
-            counter_attackers=tuple(
-                c for c in attackers_of[info.source] if support[c] in result.credulous_actions
-            ),
-            disjunct=info.disjunct,
-            disjunct_bounds=_value_pairs(principle.by_id(info.disjunct).bounds),
-            source_action=info.source,
-            source_vector=_value_pairs(matrix.vector(info.source).values),
-            target_vector=_value_pairs(matrix.vector(info.target).values),
+            counter_attackers=tuple(c for c in attackers_of[source] if report.statuses[c].in_some),
+            disjunct=disjunct,
+            disjunct_bounds=_value_pairs(principle.by_id(disjunct).bounds),
+            source_action=source,
+            source_vector=_value_pairs(matrix.vector(source).values),
+            target_vector=_value_pairs(matrix.vector(action).values),
         )
 
     def rank(att_id: str) -> tuple[int, str]:
-        info = rule_info(att_id)
-        return (principle.index_of(info.disjunct), info.source)
+        return (principle.index_of(arguments[att_id].body[0]), support[att_id])
 
     def rejection(attackers: tuple[str, ...]) -> tuple[AttackerCitation, ...] | None:
         # Per extension, the best-ranked accepted attacker; None if one accepts none.
         chosen: dict[str, AttackerCitation] = {}
-        for label, ext in decided.labelled():
-            accepted = [a for a in attackers if support[a] in ext.members]
+        for label, ext in report.labelled():
+            accepted = [a for a in attackers if a in ext.members]
             if not accepted:
                 return None
             best = min(accepted, key=rank)
@@ -111,21 +104,20 @@ def explain_action(result: PracticalResult, action: str) -> Explanation:
     if arg_id is None:
         verdict = "rejected-a-priori"
     else:
-        premises = tuple(ordered_premises(arguments[arg_id].body, build.display_order))
-        status = decided.statuses[action]
+        premises = arguments[arg_id].body
+        status = report.statuses[arg_id]
         rejected = None if status.in_some else rejection(attackers_of[action])
         if rejected is not None:
             verdict, attackers = "rejected", rejected
-            extensions = tuple(label for label, _ in decided.labelled())
+            extensions = tuple(label for label, _ in report.labelled())
         else:
             verdict = (
                 "justified-skeptical" if status.in_all
                 else "justified-credulous" if status.in_some else "indeterminate"
             )
-            extensions = decided.extension_labels_containing(action)
+            extensions = report.extension_labels_containing(arg_id)
             attackers = tuple(
-                citation(a, decided.extension_labels_containing(support[a]))
-                for a in attackers_of[action]
+                citation(a, report.extension_labels_containing(a)) for a in attackers_of[action]
             )
             if status.in_some:
                 defenders = tuple(sorted(

@@ -14,15 +14,15 @@ body is derivable gives exactly one argument: every action rule, and every
 principle rule whose source qualifies.  The compiler numbers them X1, X2...
 in rule order without deriving them.  An argument's support is one action's
 vector and its attackers are the principle arguments that target that
-action, so the argument graph's classes of equal attackers are the
-qualifying actions, and s attacks t exactly when s is weakly preferred to t.
-The decision therefore runs the semantics on that action graph, and an
-argument is in an extension exactly when its support action is (flat ABA:
-Bondarenko, Dung, Kowalski & Toni 1997; Toni 2014), so
-``PracticalResult.report`` lifts the action-level extensions and statuses to
-the arguments by support.  The argument graph itself, from
-``derive_arguments`` and ``compute_attacks``, is built only when a caller
-reads ``PracticalResult.aaf``, as the commands that print arguments do.
+action, so the compiler indexes the attackers by support action, and the
+decision runs the semantics on that argument index.  An argument's status
+is fixed by its support (flat ABA: Bondarenko, Dung, Kowalski & Toni 1997;
+Toni 2014): the arguments of one action share their attackers, so the
+semantics decides them as one class with one status record.  The argument
+graph itself, from ``derive_arguments`` and ``compute_attacks``, is built
+only when a caller reads ``PracticalResult.aaf``, as the commands that print
+arguments do, and each rule's role is decoded from its shape when
+``PracticalBuild.rule_info`` is first read.
 
 Epistemic reasoning: perception literals are sentences, designated literals
 are assumptions (contrary defaults to the complement), epistemic rules carry
@@ -34,7 +34,7 @@ when every assumption is settled, a justified situation to decide in.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
 
@@ -54,7 +54,7 @@ from .errors import (
     SchemaError,
     UnknownNameError,
 )
-from .semantics import AcceptanceReport, Extension, acceptance_status
+from .semantics import AcceptanceReport, acceptance_status
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,6 @@ class PracticalBuild:
     agent: VdaAgent
     situation_id: str
     framework: AbaFramework
-    rule_info: Mapping[str, RuleInfo]
     vector_of: Mapping[str, str]      # action -> vector sentence
     negation_of: Mapping[str, str]    # action -> negated vector sentence
     assumption_actions: tuple[str, ...]
@@ -82,8 +81,25 @@ class PracticalBuild:
     arguments: Mapping[str, Rule]
     support: Mapping[str, str]  # argument id -> the action whose vector is its support
     # Qualifying action -> the ids of the arguments concluding its contrary,
-    # in argument order; the actions are ordered by their last argument.
+    # in argument order; the actions come in language order.
     attackers_of: Mapping[str, tuple[str, ...]]
+
+    @cached_property
+    def rule_info(self) -> Mapping[str, RuleInfo]:
+        """Each rule's role, decoded from its shape: an action rule is
+        a <- v(a), a principle rule is not-v(t) <- u, v(s)."""
+        action_of = {v: a for a, v in self.vector_of.items()}
+        target_of = {n: a for a, n in self.negation_of.items()}
+        info = {}
+        for rule in self.framework.rules:
+            if len(rule.body) == 1:
+                info[rule.id] = RuleInfo("action", action=rule.head)
+            else:
+                disjunct, vector = rule.body
+                info[rule.id] = RuleInfo(
+                    "principle", disjunct=disjunct, source=action_of[vector], target=target_of[rule.head]
+                )
+        return info
 
     @cached_property
     def argument_index(self) -> Mapping[str, int]:
@@ -111,27 +127,23 @@ def practical_framework(agent: VdaAgent, situation_id: str) -> PracticalBuild:
     language = frozenset((*disjunct_ids, *vector_of.values(), *negation_of.values(), *actions))
 
     rules: list[Rule] = []
-    rule_info: dict[str, RuleInfo] = {}
     arguments: dict[str, Rule] = {}
     support: dict[str, str] = {}
-    last: dict[str, int] = {}  # qualifying action -> position of the last argument it supports
 
-    def add_rule(head: str, body: tuple[str, ...], info: RuleInfo, action: str) -> str | None:
-        """Add a rule whose body holds action's vector; the id of its
-        argument, or None if the body is not derivable."""
+    def add_rule(head: str, body: tuple[str, ...], action: str) -> str | None:
+        """Add a rule whose body holds action's vector, in display order;
+        the id of its argument, or None if the body is not derivable."""
         rule = Rule(f"r{len(rules) + 1}", head, body)
         rules.append(rule)
-        rule_info[rule.id] = info
         if action not in qualifying_set:  # its vector is neither assumption nor axiom
             return None
-        last[action] = len(arguments)
         arg_id = f"X{len(arguments) + 1}"
         arguments[arg_id] = rule
         support[arg_id] = action
         return arg_id
 
     for a in qualifying:
-        add_rule(a, (vector_of[a],), RuleInfo("action", action=a), a)
+        add_rule(a, (vector_of[a],), a)
 
     weak = core.weak_preference_pairs(matrix, principle)
     # The tightest qualifying disjunct: greatest total bound, earliest on ties.
@@ -147,12 +159,7 @@ def practical_framework(agent: VdaAgent, situation_id: str) -> PracticalBuild:
     for target in actions:
         for source in sorted(sources.get(target, ()), key=position.__getitem__):
             chosen = min(weak[(source, target)], key=rank.__getitem__)
-            arg_id = add_rule(
-                negation_of[target],
-                (chosen, vector_of[source]),
-                RuleInfo("principle", disjunct=chosen, source=source, target=target),
-                source,
-            )
+            arg_id = add_rule(negation_of[target], (chosen, vector_of[source]), source)
             if arg_id is not None:
                 attackers[target].append(arg_id)
 
@@ -177,7 +184,6 @@ def practical_framework(agent: VdaAgent, situation_id: str) -> PracticalBuild:
         agent=agent,
         situation_id=situation_id,
         framework=framework,
-        rule_info=rule_info,
         vector_of=vector_of,
         negation_of=negation_of,
         assumption_actions=tuple(a for a in actions if a in qualifying_set),
@@ -186,21 +192,18 @@ def practical_framework(agent: VdaAgent, situation_id: str) -> PracticalBuild:
         weak_preference=weak,
         arguments=arguments,
         support=support,
-        # In this order, the action graph sorts its extensions as the
-        # argument graph does: by the highest argument that differs.
-        attackers_of={a: tuple(attackers[a]) for a in sorted(qualifying, key=last.__getitem__)},
+        attackers_of={a: tuple(atts) for a, atts in attackers.items()},
     )
 
 
 @dataclass(frozen=True)
 class PracticalResult:
-    """Practical pipeline output: the decision on the action graph and the
-    action verdicts; the argument graph and its report are views built on
-    first read."""
+    """Practical pipeline output: the decision over the compiler's argument
+    index and the action verdicts; the argument graph is built on first read."""
 
     build: PracticalBuild
     semantics: str
-    action_report: AcceptanceReport  # over the action graph: extensions and statuses name actions
+    report: AcceptanceReport  # extensions and statuses name the arguments X1, X2...
     action_argument: Mapping[str, str]
     action_status: Mapping[str, str]
     justified_actions: frozenset[str]
@@ -213,20 +216,6 @@ class PracticalResult:
         framework = self.build.framework
         arguments = derive_arguments(framework, label="X", keep_conclusions=self.build.relevant)
         return Aaf(arguments, compute_attacks(arguments, framework))
-
-    @cached_property
-    def report(self) -> AcceptanceReport:
-        """The argument-level report, lifted from the action level by support:
-        an argument is in an extension when its support action is, and has
-        that action's status."""
-        support = self.build.support
-        decided = self.action_report
-        extensions = tuple(
-            Extension(frozenset(arg_id for arg_id, a in support.items() if a in ext.members), ext.semantics)
-            for ext in decided.extensions
-        )
-        statuses = {arg_id: decided.statuses[a] for arg_id, a in support.items()}
-        return replace(decided, extensions=extensions, statuses=statuses)
 
 
 def evaluate(
@@ -244,11 +233,9 @@ def evaluate(
 
 def analyze_practical(agent: VdaAgent, situation_id: str, semantics: str = "grounded") -> PracticalResult:
     build = practical_framework(agent, situation_id)
-    # The action graph: each qualifying action's attackers are the supports
-    # of the arguments that attack it.
-    support = build.support
-    graph = {t: tuple(support[arg_id] for arg_id in atts) for t, atts in build.attackers_of.items()}
-    decided = acceptance_status(graph, semantics)
+    # Each argument is attacked by the arguments against its support action.
+    attackers_of, support = build.attackers_of, build.support
+    report = acceptance_status({x: attackers_of[support[x]] for x in build.arguments}, semantics)
 
     # The action rules come first, one per qualifying action.
     action_argument = dict(zip(build.assumption_actions, build.arguments))
@@ -259,7 +246,7 @@ def analyze_practical(agent: VdaAgent, situation_id: str, semantics: str = "grou
         if a not in action_argument:
             action_status[a] = "rejected-a-priori"
             continue
-        status = decided.statuses[a]
+        status = report.statuses[action_argument[a]]
         action_status[a] = status.status
         if status.in_all:
             justified.add(a)
@@ -270,7 +257,7 @@ def analyze_practical(agent: VdaAgent, situation_id: str, semantics: str = "grou
     return PracticalResult(
         build=build,
         semantics=semantics,
-        action_report=decided,
+        report=report,
         action_argument=action_argument,
         action_status=action_status,
         justified_actions=frozenset(justified),

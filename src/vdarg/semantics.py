@@ -10,8 +10,8 @@ Lifting is injective and monotone, so the least (grounded), the maximal
 flat ABA frameworks compiled here an argument is attacked only through its
 assumptions, so this is the assumption-level semantics of flat ABA, derived
 from the attack graph alone.  The graph is an ordered map from each node
-to its attackers: an Aaf's ``attackers_of``, or one node per qualifying
-action for a practical decision (see ``frameworks``).  ``_Graph`` groups the
+to its attackers: an Aaf's ``attackers_of``, or the compiler's argument
+index for a practical decision (see ``frameworks``).  ``_Graph`` groups the
 nodes into classes itself, and ``acceptance_status`` decides one status
 record per class, which all members of the class share.
 
@@ -78,7 +78,6 @@ class _Graph:
         for i, c in enumerate(self.class_at):
             self.members[c].append(i)
         class_of = dict(zip(ids, self.class_at))
-        self.lifted = [sum(1 << i for i in members) for members in self.members]
         self.attackers = [0] * n
         self.victims = [0] * n
         for c, key in enumerate(self.keys):
@@ -88,7 +87,7 @@ class _Graph:
 
     def lift(self, mask: int) -> int:
         """The node mask of the members of the classes in mask."""
-        return sum(self.lifted[c] for c in _bits(mask))
+        return sum(1 << i for c in _bits(mask) for i in self.members[c])
 
     def extension(self, in_mask: int, semantics: str) -> Extension:
         members = frozenset(self.ids[i] for c in _bits(in_mask) for i in self.members[c])

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from vdarg import (
@@ -556,6 +556,17 @@ def attack_outcome(compute, arguments, framework):
     keep_mask=st.one_of(st.none(), st.integers(0, 255)),
     drop_mask=st.one_of(st.just(0), st.integers(1, 255)),
 )
+@example(  # s2 lacks a contrary; s0's contrary is the only one concluded
+    framework=AbaFramework(
+        language=frozenset({"s0", "s1", "s2"}),
+        rules=(Rule("r1", "s1", ("s0", "s2")),),
+        assumptions=("s0", "s2"),
+        contraries={"s0": "s1", "s2": "s1"},
+        axioms=frozenset({"s1"}),
+    ),
+    keep_mask=0b10,
+    drop_mask=0b10,
+)
 def test_shared_attackers_match_the_per_argument_reference(framework, keep_mask, drop_mask):
     keep = None if keep_mask is None else {f"s{i}" for i in range(8) if keep_mask >> i & 1}
     try:
@@ -577,6 +588,33 @@ def test_shared_attackers_match_the_per_argument_reference(framework, keep_mask,
     for a in args:
         key = frozenset(framework.contraries[s] for s in a.support) & concluded
         assert got[a.id] is shared.setdefault(key, got[a.id])
+
+
+class _InOrder(frozenset):
+    """A set that iterates its members in the order given, in every process."""
+
+    def __new__(cls, members):
+        self = super().__new__(cls, members)
+        self.order = tuple(members)
+        return self
+
+    def __iter__(self):
+        return iter(self.order)
+
+
+def test_a_support_sentence_without_a_contrary_is_named_after_a_concluded_one():
+    # a's contrary is the only concluded sentence, and a is read first, so
+    # an intersection that stops once it has found na never reads b.
+    support = _InOrder(("a", "b"))
+    fw = AbaFramework(
+        language=frozenset({"a", "b", "na"}),
+        rules=(Rule("r1", "na", ("a", "b")),),
+        assumptions=("a", "b"),
+        contraries={"a": "na"},
+    )
+    args = (aba.Argument("A1", "na", support, support, ("na", "r1", ())),)
+    with pytest.raises(SchemaError, match="argument 'A1': 'b' is not an assumption"):
+        compute_attacks(args, fw)
 
 
 def test_contraries_that_no_argument_concludes_do_not_split_attacker_tuples():

@@ -1,10 +1,12 @@
-"""Practical decisions on the action graph agree with the argument graph.
+"""Practical decisions over the compiler's argument index agree with the
+argument graph.
 
-``analyze_practical`` runs the semantics on one node per qualifying action
-and numbers the arguments from the rules without deriving them.  The
-reference below is the argument-level pipeline it replaced, kept here:
-derive_arguments -> compute_attacks -> acceptance_status, with the
-explanation record built from that argument graph.
+``analyze_practical`` numbers the arguments from the rules without deriving
+them and runs the semantics on each argument's attackers, indexed by its
+support action.  The reference below is the argument-level pipeline it
+replaced, kept here: derive_arguments -> compute_attacks ->
+acceptance_status, with the explanation record built from that argument
+graph.
 """
 
 from __future__ import annotations
@@ -144,8 +146,8 @@ def reference_explanation(ref: SimpleNamespace, action: str) -> Explanation:
 def assert_agrees_with_reference(agent: VdaAgent, situation_id: str, semantics: str) -> None:
     ref = reference_pipeline(agent, situation_id, semantics)
     result = analyze_practical(agent, situation_id, semantics)
-    explanations = explain_all_actions(result)  # before the view exists
-    assert "aaf" not in vars(result) and "report" not in vars(result)
+    explanations = explain_all_actions(result)  # before the argument graph exists
+    assert "aaf" not in vars(result)
 
     assert result.action_status == ref.action_status
     assert list(result.action_status) == list(ref.action_status)
@@ -162,13 +164,13 @@ def assert_agrees_with_reference(agent: VdaAgent, situation_id: str, semantics: 
     for target, attackers in result.build.attackers_of.items():
         assert attackers == ref.aaf.attackers_of[result.action_argument[target]]
 
-    # The lifted view equals the argument-level report, in order.
+    # The decision over the argument index equals the argument-level report, in order.
     assert result.aaf == ref.aaf
     assert [e.members for e in result.report.extensions] == [e.members for e in ref.report.extensions]
     assert list(result.report.statuses.items()) == list(ref.report.statuses.items())
     # Each argument holds its support action's status record, not a copy.
-    decided = result.action_report.statuses
-    assert all(st is decided[result.build.support[x]] for x, st in result.report.statuses.items())
+    statuses = result.report.statuses
+    assert all(statuses[x] is statuses[result.action_argument[result.build.support[x]]] for x in statuses)
     assert (result.report.vacuous, result.report.diagnostic) == (ref.report.vacuous, ref.report.diagnostic)
 
 
@@ -206,7 +208,7 @@ def test_random_agents_agree_with_the_argument_graph(agent, semantics):
 # Named inputs, each under all four semantics.
 NON_QUALIFYING_SOURCE = make_agent({"a": (1, 0), "b": (0, 0)}, [(-1, 0)])
 NOTHING_QUALIFIES = make_agent({"a": (0, -1), "b": (-1, 0), "c": (-2, -2)}, [(0, 0), (1, -2)])
-# a1 -> a2 -> a3 -> a1 on the action graph: an odd cycle, so stable is vacuous.
+# a1 -> a2 -> a3 -> a1 in weak preference: an odd attack cycle, so stable is vacuous.
 ODD_CYCLE = make_agent({"a1": (1, 0), "a2": (-1, 1), "a3": (-2, 2)}, [(-4, 2), (0, -1)])
 
 
@@ -219,7 +221,7 @@ def test_named_inputs_agree_with_the_argument_graph(agent, semantics):
 
 def test_the_named_inputs_have_their_shape():
     assert practical_framework(NOTHING_QUALIFIES, "R").assumption_actions == ("a", "b", "c")
-    assert analyze_practical(ODD_CYCLE, "R", "stable").action_report.vacuous
+    assert analyze_practical(ODD_CYCLE, "R", "stable").report.vacuous
 
 
 @pytest.mark.parametrize("semantics", SEMANTICS)
@@ -260,3 +262,16 @@ class TestDecisionBuildsNoArguments:
             assert "aaf" not in vars(result)
             assert result.aaf.arguments  # built now, by the real functions
             assert len(result.report.statuses) == len(result.aaf.arguments)
+
+
+def test_decide_and_explain_leave_the_rule_roles_and_the_argument_graph_unbuilt(eldercare):
+    """Rule roles are decoded only when printed, so deciding and explaining
+    build no RuleInfo."""
+    inputs = [(eldercare, "S1"), (eldercare, "S2J")]
+    inputs += [random_vda(RandomVdaSpec(seed=seed, actions=5)) for seed in range(10)]
+    for agent, sid in inputs:
+        for semantics in SEMANTICS:
+            result = analyze_practical(agent, sid, semantics)
+            explain_all_actions(result)
+            assert "rule_info" not in vars(result.build)
+            assert "aaf" not in vars(result)

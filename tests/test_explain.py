@@ -187,7 +187,7 @@ class TestAttackPairsStayOffTheDecidePath:
     def test_practical_decision_and_explanations(self, eldercare):
         result = analyze_practical(eldercare, "S1")
         explain_all_actions(result)
-        assert "aaf" not in vars(result) and "report" not in vars(result)
+        assert "aaf" not in vars(result)
         assert "attacks" not in vars(result.aaf)
 
     def test_epistemic_decision_and_explanation(self, eldercare):
