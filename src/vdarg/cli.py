@@ -18,12 +18,12 @@ from . import core
 from .aba import Aaf, Rule, ordered_premises
 from .agentfile import load_agent
 from .core import EpistemicSpec
-from .errors import IndeterminateSituationError, SchemaError, VdaError
+from .errors import IndeterminateSituationError, SchemaError, UnknownNameError, VdaError
 from .explain import explain_action, explain_situation
 from .frameworks import (
     EpistemicResult,
     PracticalResult,
-    RuleInfo,
+    Row,
     analyze_epistemic,
     analyze_practical,
     assumption_arguments,
@@ -88,7 +88,7 @@ def _graph_lines(payload: dict) -> list[str]:
 def _dot(payload: dict) -> str:
     lines = ["digraph aaf {", "  rankdir=LR;"]
     for arg in payload["arguments"]:
-        label = f"{arg['id']}: {_argument_text(arg)}"
+        label = f"{arg['id']}: {_argument_text(arg)}".replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  {arg["id"]} [label="{label}"];')
     for src, dst in payload["attacks"]:
         lines.append(f"  {src} -> {dst};")
@@ -148,16 +148,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0 if payload["solutions"] else 1
 
 
-def _rule_payload(rule: Rule, info: RuleInfo) -> dict:
+def _rule_payload(rule: Rule, row: Row) -> dict:
+    source, target, disjunct = row
+    principle = disjunct is not None
     return {
         "id": rule.id,
         "head": rule.head,
         "body": list(rule.body),
-        "kind": info.kind,
-        "action": info.action,
-        "disjunct": info.disjunct,
-        "source": info.source,
-        "target": info.target,
+        "kind": "principle" if principle else "action",
+        "action": None if principle else source,
+        "disjunct": disjunct,
+        "source": source if principle else None,
+        "target": target if principle else None,
     }
 
 
@@ -168,7 +170,7 @@ def _practical_payload(result: PracticalResult) -> dict:
     return {
         "situation": build.situation_id,
         "semantics": result.semantics,
-        "rules": [_rule_payload(rule, build.rule_info[rule.id]) for rule in build.framework.rules],
+        "rules": [_rule_payload(rule, row) for rule, row in zip(build.framework.rules, build.rows)],
         "arguments": [
             {
                 "id": arg.id,
@@ -269,6 +271,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
         _emit_report(payload, args.format, lambda p: "\n".join(map(_explanation_text, p)))
         return 0
 
+    agent.matrix_for(args.situation)  # an unknown situation is reported first, then an unknown action
+    if args.action not in agent.language.actions:
+        raise UnknownNameError(f"unknown action {args.action!r}")
     result = analyze_practical(agent, args.situation, args.semantics)
     _emit_report(asdict(explain_action(result, args.action)), args.format, _explanation_text)
     return 0

@@ -53,9 +53,9 @@ def _value_pairs(values: Mapping[str, int]) -> _VvaluePairs:
 
 def explain_action(result: PracticalResult, action: str) -> Explanation:
     """Explain one action from the decision over the compiler's argument
-    index, by argument id: each attacker is a principle rule whose body is
-    its disjunct and its source's vector, so the argument graph is never
-    built."""
+    index, by argument id: each argument's row names its source and
+    disjunct, and ``build.sentences`` writes out its conclusion and
+    premises, so neither the framework nor the argument graph is built."""
     build = result.build
     agent = build.agent
     if action not in agent.language.actions:
@@ -64,15 +64,16 @@ def explain_action(result: PracticalResult, action: str) -> Explanation:
 
     matrix = agent.matrix_for(build.situation_id)
     principle = agent.require_principle()
-    report, arguments, support, attackers_of = result.report, build.arguments, build.support, build.attackers_of
+    report, arguments, attackers_of = result.report, build.arguments, build.attackers_of
 
     def citation(att_id: str, extensions: tuple[str, ...]) -> AttackerCitation:
-        rule = arguments[att_id]
-        disjunct, source = rule.body[0], support[att_id]
+        row = arguments[att_id]
+        source, _, disjunct = row
+        conclusion, premises = build.sentences(row)
         return AttackerCitation(
             argument_id=att_id,
-            conclusion=rule.head,
-            premises=rule.body,
+            conclusion=conclusion,
+            premises=premises,
             extensions=extensions,
             counter_attackers=tuple(c for c in attackers_of[source] if report.statuses[c].in_some),
             disjunct=disjunct,
@@ -83,7 +84,8 @@ def explain_action(result: PracticalResult, action: str) -> Explanation:
         )
 
     def rank(att_id: str) -> tuple[int, str]:
-        return (principle.index_of(arguments[att_id].body[0]), support[att_id])
+        source, _, disjunct = arguments[att_id]
+        return (principle.index_of(disjunct), source)
 
     def rejection(attackers: tuple[str, ...]) -> tuple[AttackerCitation, ...] | None:
         # Per extension, the best-ranked accepted attacker; None if one accepts none.
@@ -104,7 +106,7 @@ def explain_action(result: PracticalResult, action: str) -> Explanation:
     if arg_id is None:
         verdict = "rejected-a-priori"
     else:
-        premises = arguments[arg_id].body
+        premises = build.sentences(arguments[arg_id])[1]
         status = report.statuses[arg_id]
         rejected = None if status.in_some else rejection(attackers_of[action])
         if rejected is not None:

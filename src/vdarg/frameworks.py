@@ -9,20 +9,23 @@ weakly preferred to an assumption target gets one principle rule
 qualifying disjunct.  Disjuncts are axioms: accepted premises with no
 contrary.
 
-Every rule body holds one vector and at most one axiom, so each rule whose
-body is derivable gives exactly one argument: every action rule, and every
-principle rule whose source qualifies.  The compiler numbers them X1, X2...
-in rule order without deriving them.  An argument's support is one action's
-vector and its attackers are the principle arguments that target that
-action, so the compiler indexes the attackers by support action, and the
-decision runs the semantics on that argument index.  An argument's status
-is fixed by its support (flat ABA: Bondarenko, Dung, Kowalski & Toni 1997;
-Toni 2014): the arguments of one action share their attackers, so the
-semantics decides them as one class with one status record.  The argument
-graph itself, from ``derive_arguments`` and ``compute_attacks``, is built
-only when a caller reads ``PracticalResult.aaf``, as the commands that print
-arguments do, and each rule's role is decoded from its shape when
-``PracticalBuild.rule_info`` is first read.
+Each rule is fixed by one row (source, target, disjunct): an action rule is
+(a, a, None) and a principle rule is (s, t, u).  Every rule body holds one
+vector and at most one axiom, so each rule whose body is derivable gives
+exactly one argument: every action rule, and every principle rule whose
+source qualifies.  The compiler numbers them X1, X2... in rule order without
+deriving them.  An argument's support is its source's vector and its
+attackers are the principle arguments that target that action, so the
+compiler indexes the attackers by source, and the decision runs the
+semantics on that argument index.  An argument's status is fixed by its
+support (flat ABA: Bondarenko, Dung, Kowalski & Toni 1997; Toni 2014): the
+arguments of one action share their attackers, so the semantics decides
+them as one class with one status record.  ``PracticalBuild.sentences``
+writes a row out as a rule's head and body, and the ABA framework is built
+from the rows only when ``PracticalBuild.framework`` is first read; the
+argument graph, from ``derive_arguments`` and ``compute_attacks``, only when
+a caller reads ``PracticalResult.aaf``, as the commands that print rules and
+arguments do.
 
 Epistemic reasoning: perception literals are sentences, designated literals
 are assumptions (contrary defaults to the complement), epistemic rules carry
@@ -57,49 +60,47 @@ from .errors import (
 from .semantics import AcceptanceReport, acceptance_status
 
 
-@dataclass(frozen=True)
-class RuleInfo:
-    kind: str  # "action" | "principle"
-    action: str | None = None
-    disjunct: str | None = None
-    source: str | None = None
-    target: str | None = None
+# A practical rule: (source, target, disjunct).  An action rule a <- v(a) is
+# (a, a, None); a principle rule not-v(t) <- u, v(s) is (s, t, u).
+Row = tuple[str, str, str | None]
 
 
 @dataclass(frozen=True)
 class PracticalBuild:
     agent: VdaAgent
     situation_id: str
-    framework: AbaFramework
     vector_of: Mapping[str, str]      # action -> vector sentence
     negation_of: Mapping[str, str]    # action -> negated vector sentence
     assumption_actions: tuple[str, ...]
     relevant: frozenset[str]
-    display_order: Mapping[str, int]  # canonical sentence order for premise rendering
+    display_order: Mapping[str, int]  # the language in canonical sentence order, for premise rendering
     weak_preference: Mapping[tuple[str, str], tuple[str, ...]]  # as core.weak_preference_pairs
-    # Argument id -> the rule it applies: the rules whose body is derivable, in rule order.
-    arguments: Mapping[str, Rule]
-    support: Mapping[str, str]  # argument id -> the action whose vector is its support
+    rows: tuple[Row, ...]  # one per rule, in rule order: rule r<k> is rows[k-1]
+    # Argument id -> the row of the rule it applies: the rows whose source
+    # qualifies, in rule order.
+    arguments: Mapping[str, Row]
     # Qualifying action -> the ids of the arguments concluding its contrary,
     # in argument order; the actions come in language order.
     attackers_of: Mapping[str, tuple[str, ...]]
 
+    def sentences(self, row: Row) -> tuple[str, tuple[str, ...]]:
+        """A rule's head and its body, in display order."""
+        source, target, disjunct = row
+        if disjunct is None:
+            return source, (self.vector_of[source],)
+        return self.negation_of[target], (disjunct, self.vector_of[source])
+
     @cached_property
-    def rule_info(self) -> Mapping[str, RuleInfo]:
-        """Each rule's role, decoded from its shape: an action rule is
-        a <- v(a), a principle rule is not-v(t) <- u, v(s)."""
-        action_of = {v: a for a, v in self.vector_of.items()}
-        target_of = {n: a for a, n in self.negation_of.items()}
-        info = {}
-        for rule in self.framework.rules:
-            if len(rule.body) == 1:
-                info[rule.id] = RuleInfo("action", action=rule.head)
-            else:
-                disjunct, vector = rule.body
-                info[rule.id] = RuleInfo(
-                    "principle", disjunct=disjunct, source=action_of[vector], target=target_of[rule.head]
-                )
-        return info
+    def framework(self) -> AbaFramework:
+        """The ABA framework the rows write out."""
+        sentences = self.sentences
+        return AbaFramework(
+            language=frozenset(self.display_order),
+            rules=tuple(Rule(f"r{k}", *sentences(row)) for k, row in enumerate(self.rows, 1)),
+            assumptions=tuple(self.vector_of[a] for a in self.assumption_actions),
+            contraries={self.vector_of[a]: self.negation_of[a] for a in self.assumption_actions},
+            axioms=frozenset(u.id for u in self.agent.require_principle()),
+        )
 
     @cached_property
     def argument_index(self) -> Mapping[str, int]:
@@ -108,7 +109,8 @@ class PracticalBuild:
 
 
 def practical_framework(agent: VdaAgent, situation_id: str) -> PracticalBuild:
-    """Build the practical-reasoning framework for one situation."""
+    """Compile one situation's practical rules, their arguments and each
+    qualifying action's attackers."""
     matrix = agent.matrix_for(situation_id)
     principle = agent.require_principle()
     actions = agent.language.actions
@@ -123,28 +125,8 @@ def practical_framework(agent: VdaAgent, situation_id: str) -> PracticalBuild:
     check_sentence_names(agent, situation_id)
     vector_of = {a: vector_sentence(situation_id, a) for a in actions}
     negation_of = {a: negation_sentence(situation_id, a) for a in actions}
-    disjunct_ids = [u.id for u in principle]
-    language = frozenset((*disjunct_ids, *vector_of.values(), *negation_of.values(), *actions))
 
-    rules: list[Rule] = []
-    arguments: dict[str, Rule] = {}
-    support: dict[str, str] = {}
-
-    def add_rule(head: str, body: tuple[str, ...], action: str) -> str | None:
-        """Add a rule whose body holds action's vector, in display order;
-        the id of its argument, or None if the body is not derivable."""
-        rule = Rule(f"r{len(rules) + 1}", head, body)
-        rules.append(rule)
-        if action not in qualifying_set:  # its vector is neither assumption nor axiom
-            return None
-        arg_id = f"X{len(arguments) + 1}"
-        arguments[arg_id] = rule
-        support[arg_id] = action
-        return arg_id
-
-    for a in qualifying:
-        add_rule(a, (vector_of[a],), a)
-
+    rows: list[Row] = [(a, a, None) for a in qualifying]
     weak = core.weak_preference_pairs(matrix, principle)
     # The tightest qualifying disjunct: greatest total bound, earliest on ties.
     rank = {u.id: (-sum(u.bounds.values()), i) for i, u in enumerate(principle)}
@@ -155,43 +137,37 @@ def practical_framework(agent: VdaAgent, situation_id: str) -> PracticalBuild:
     for source, target in weak:
         if target in qualifying_set:
             sources.setdefault(target, []).append(source)
-    attackers: dict[str, list[str]] = {a: [] for a in qualifying}
     for target in actions:
         for source in sorted(sources.get(target, ()), key=position.__getitem__):
-            chosen = min(weak[(source, target)], key=rank.__getitem__)
-            arg_id = add_rule(negation_of[target], (chosen, vector_of[source]), source)
-            if arg_id is not None:
+            rows.append((source, target, min(weak[(source, target)], key=rank.__getitem__)))
+
+    arguments: dict[str, Row] = {}
+    attackers: dict[str, list[str]] = {a: [] for a in qualifying}
+    for row in rows:
+        source, target, disjunct = row
+        if source in qualifying_set:  # its vector is an assumption, so the body is derivable
+            arg_id = f"X{len(arguments) + 1}"
+            arguments[arg_id] = row
+            if disjunct is not None:
                 attackers[target].append(arg_id)
 
-    assumptions = tuple(vector_of[a] for a in actions if a in qualifying_set)
-    contraries = {vector_of[a]: negation_of[a] for a in actions if a in qualifying_set}
-    framework = AbaFramework(
-        language=language,
-        rules=tuple(rules),
-        assumptions=assumptions,
-        contraries=contraries,
-        axioms=frozenset(disjunct_ids),
-    )
-    relevant = frozenset(actions) | frozenset(contraries.values())
     ordered = (
-        disjunct_ids
+        [u.id for u in principle]
         + [vector_of[a] for a in actions]
         + [negation_of[a] for a in actions]
         + list(actions)
     )
-    display_order = {s: i for i, s in enumerate(ordered)}
     return PracticalBuild(
         agent=agent,
         situation_id=situation_id,
-        framework=framework,
         vector_of=vector_of,
         negation_of=negation_of,
         assumption_actions=tuple(a for a in actions if a in qualifying_set),
-        relevant=relevant,
-        display_order=display_order,
+        relevant=frozenset(actions) | frozenset(negation_of[a] for a in qualifying),
+        display_order={s: i for i, s in enumerate(ordered)},
         weak_preference=weak,
+        rows=tuple(rows),
         arguments=arguments,
-        support=support,
         attackers_of={a: tuple(atts) for a, atts in attackers.items()},
     )
 
@@ -212,7 +188,8 @@ class PracticalResult:
 
     @cached_property
     def aaf(self) -> Aaf:
-        """The derived arguments and their attackers."""
+        """The derived arguments and their attackers, over the framework the
+        build's rows write out."""
         framework = self.build.framework
         arguments = derive_arguments(framework, label="X", keep_conclusions=self.build.relevant)
         return Aaf(arguments, compute_attacks(arguments, framework))
@@ -233,9 +210,9 @@ def evaluate(
 
 def analyze_practical(agent: VdaAgent, situation_id: str, semantics: str = "grounded") -> PracticalResult:
     build = practical_framework(agent, situation_id)
-    # Each argument is attacked by the arguments against its support action.
-    attackers_of, support = build.attackers_of, build.support
-    report = acceptance_status({x: attackers_of[support[x]] for x in build.arguments}, semantics)
+    # Each argument is attacked by the arguments against its source action.
+    attackers_of = build.attackers_of
+    report = acceptance_status({x: attackers_of[row[0]] for x, row in build.arguments.items()}, semantics)
 
     # The action rules come first, one per qualifying action.
     action_argument = dict(zip(build.assumption_actions, build.arguments))

@@ -34,7 +34,8 @@ def test_criterion_1_eldercare_s1(eldercare_path):
     agent = load_agent(eldercare_path)
     result = analyze_practical(agent, "S1", "grounded")
 
-    kinds = {rid: info.kind for rid, info in result.build.rule_info.items()}
+    kinds = {f"r{k}": "action" if disjunct is None else "principle"
+             for k, (_, _, disjunct) in enumerate(result.build.rows, 1)}
     assert [r.id for r in result.build.framework.rules] == [f"r{i}" for i in range(1, 11)]
     assert [rid for rid, kind in kinds.items() if kind == "action"] == ["r1", "r2", "r3", "r4"]
     assert [rid for rid, kind in kinds.items() if kind == "principle"] == [

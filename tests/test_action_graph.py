@@ -36,12 +36,8 @@ from vdarg import (
 )
 from vdarg.aba import Aaf, compute_attacks, derive_arguments, ordered_premises
 from vdarg.explain import AttackerCitation, Explanation
-from vdarg.frameworks import RuleInfo
 from vdarg.oracle import RandomVdaSpec, random_vda
 from vdarg.semantics import SEMANTICS
-
-_NO_RULE = RuleInfo("none")
-
 
 def reference_pipeline(agent: VdaAgent, situation_id: str, semantics: str) -> SimpleNamespace:
     """The argument-level decision: every argument derived, every attack listed."""
@@ -72,30 +68,33 @@ def reference_explanation(ref: SimpleNamespace, action: str) -> Explanation:
     principle = agent.require_principle()
     report, aaf = ref.report, ref.aaf
     attackers_of = aaf.attackers_of
+    row_of = {rule.id: row for rule, row in zip(build.framework.rules, build.rows, strict=True)}
 
-    def rule_info(att_id):
-        return build.rule_info.get(aaf.argument(att_id).tree.rule_id or "", _NO_RULE)
+    def principle_row(att_id):
+        """The (source, target, disjunct) row of a principle rule's argument, else Nones."""
+        row = row_of.get(aaf.argument(att_id).tree.rule_id or "")
+        return row if row is not None and row[2] is not None else (None, None, None)
 
     def citation(att_id, extensions):
         att = aaf.argument(att_id)
-        info = rule_info(att_id)
+        source, target, disjunct = principle_row(att_id)
         return AttackerCitation(
             argument_id=att_id,
             conclusion=att.conclusion,
             premises=tuple(ordered_premises(att.premises, build.display_order)),
             extensions=extensions,
             counter_attackers=tuple(c for c in attackers_of[att_id] if report.statuses[c].in_some),
-            disjunct=info.disjunct,
-            disjunct_bounds=tuple(principle.by_id(info.disjunct).bounds.items()) if info.disjunct else None,
-            source_action=info.source,
-            source_vector=tuple(matrix.vector(info.source).values.items()) if info.source else None,
-            target_vector=tuple(matrix.vector(info.target).values.items()) if info.target else None,
+            disjunct=disjunct,
+            disjunct_bounds=tuple(principle.by_id(disjunct).bounds.items()) if disjunct else None,
+            source_action=source,
+            source_vector=tuple(matrix.vector(source).values.items()) if source else None,
+            target_vector=tuple(matrix.vector(target).values.items()) if target else None,
         )
 
     def rank(att_id):
-        info = rule_info(att_id)
-        if info.disjunct is not None:
-            return (principle.index_of(info.disjunct), info.source or "")
+        source, _, disjunct = principle_row(att_id)
+        if disjunct is not None:
+            return (principle.index_of(disjunct), source or "")
         return (len(principle.disjuncts), att_id)
 
     def rejection(arg_id):
@@ -158,7 +157,8 @@ def assert_agrees_with_reference(agent: VdaAgent, situation_id: str, semantics: 
 
     # The argument ids the compiler numbers are the ones derivation gives.
     assert list(result.build.arguments) == list(ref.aaf.ids)
-    assert [rule.id for rule in result.build.arguments.values()] == [
+    rule_id = {row: f"r{k}" for k, row in enumerate(result.build.rows, 1)}
+    assert [rule_id[row] for row in result.build.arguments.values()] == [
         arg.tree.rule_id for arg in ref.aaf.arguments
     ]
     for target, attackers in result.build.attackers_of.items():
@@ -170,7 +170,7 @@ def assert_agrees_with_reference(agent: VdaAgent, situation_id: str, semantics: 
     assert list(result.report.statuses.items()) == list(ref.report.statuses.items())
     # Each argument holds its support action's status record, not a copy.
     statuses = result.report.statuses
-    assert all(statuses[x] is statuses[result.action_argument[result.build.support[x]]] for x in statuses)
+    assert all(statuses[x] is statuses[result.action_argument[result.build.arguments[x][0]]] for x in statuses)
     assert (result.report.vacuous, result.report.diagnostic) == (ref.report.vacuous, ref.report.diagnostic)
 
 
@@ -264,14 +264,14 @@ class TestDecisionBuildsNoArguments:
             assert len(result.report.statuses) == len(result.aaf.arguments)
 
 
-def test_decide_and_explain_leave_the_rule_roles_and_the_argument_graph_unbuilt(eldercare):
-    """Rule roles are decoded only when printed, so deciding and explaining
-    build no RuleInfo."""
+def test_decide_and_explain_leave_the_framework_and_the_argument_graph_unbuilt(eldercare):
+    """Deciding and explaining read the rows, so neither builds the ABA
+    framework view or the argument graph."""
     inputs = [(eldercare, "S1"), (eldercare, "S2J")]
     inputs += [random_vda(RandomVdaSpec(seed=seed, actions=5)) for seed in range(10)]
     for agent, sid in inputs:
         for semantics in SEMANTICS:
             result = analyze_practical(agent, sid, semantics)
             explain_all_actions(result)
-            assert "rule_info" not in vars(result.build)
+            assert "framework" not in vars(result.build)
             assert "aaf" not in vars(result)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -101,6 +102,23 @@ class TestJustify:
         assert len(nodes) == 10
         assert len(edges) == 10
 
+    def test_dot_labels_escape_quotes_and_backslashes(self, run, tmp_path, eldercare_path):
+        data = json.loads(eldercare_path.read_text(encoding="utf-8"))
+        renames = {"warn": 'warn "now"', "notify": "notify\\all"}
+        data["language"]["actions"] = [renames.get(a, a) for a in data["language"]["actions"]]
+        for matrix in data["matrices"].values():
+            for old, new in renames.items():
+                matrix[new] = matrix.pop(old)
+        path = tmp_path / "quoted.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, _ = run("justify", str(path), "S1", "--dot")
+        assert code == 0
+        nodes = [line for line in out.splitlines() if "[label=" in line]
+        assert len(nodes) == 10
+        for line in nodes:
+            assert re.fullmatch(r'  X\d+ \[label="(?:[^"\\]|\\.)*"\];', line), line
+        assert '  X2 [label="X2: {v_S1(warn \\"now\\")} ⊢ warn \\"now\\""];' in nodes
+
     def test_json_carries_the_full_pipeline_result(self, run, eldercare_path):
         code, out, _ = run("justify", str(eldercare_path), "S1", "--format", "json")
         assert code == 0
@@ -149,6 +167,18 @@ class TestExplain:
         assert code == 0
         assert "satisfying MMR with degree 1 (MMR:1)" in out
         assert "minimize harm to patient" in out
+
+    def test_unknown_action_is_reported_before_deciding(self, run, eldercare_path, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("explain decided before checking the action name")
+
+        monkeypatch.setattr("vdarg.cli.analyze_practical", refuse)
+        code, out, err = run("explain", str(eldercare_path), "S1", "nosuch")
+        assert (code, out) == (2, "")
+        assert err == "error: unknown action 'nosuch'\n"
+        code, out, err = run("explain", str(eldercare_path), "S9", "nosuch")
+        assert (code, out) == (2, "")
+        assert err == "error: unknown situation 'S9'\n"
 
     def test_action_and_situation_flags_conflict(self, run, eldercare_path):
         code, _, err = run("explain", str(eldercare_path), "S1", "warn", "--situation")

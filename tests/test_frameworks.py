@@ -90,7 +90,7 @@ class TestPracticalGeneration:
         )
         build = practical_framework(agent, "R")
         assert build.assumption_actions == ("a", "b")
-        action_rules = [r for r in build.framework.rules if build.rule_info[r.id].kind == "action"]
+        action_rules = [row for row in build.rows if row[2] is None]
         assert len(action_rules) == 2
 
     def test_generation_is_sound_and_complete(self, eldercare):
@@ -101,12 +101,12 @@ class TestPracticalGeneration:
             matrix = eldercare.matrices[sid]
             principle = eldercare.principle
             covered = set()
-            for rid, info in build.rule_info.items():
-                if info.kind != "principle":
+            for source, target, disjunct in build.rows:
+                if disjunct is None:
                     continue
-                w = matrix.vector(info.source).differential(matrix.vector(info.target))
-                assert meets_lower_bounds(w, principle.by_id(info.disjunct))
-                covered.add((info.source, info.target))
+                w = matrix.vector(source).differential(matrix.vector(target))
+                assert meets_lower_bounds(w, principle.by_id(disjunct))
+                covered.add((source, target))
             assumption_set = set(build.assumption_actions)
             for a in eldercare.language.actions:
                 for b in eldercare.language.actions:
@@ -123,12 +123,12 @@ class TestPracticalGeneration:
         total = {u.id: sum(u.bounds.values()) for u in principle}
         for sid in eldercare.matrices:
             build = practical_framework(eldercare, sid)
-            for info in build.rule_info.values():
-                if info.kind != "principle":
+            for source, target, disjunct in build.rows:
+                if disjunct is None:
                     continue
-                ids = build.weak_preference[(info.source, info.target)]
+                ids = build.weak_preference[(source, target)]
                 best = max(total[uid] for uid in ids)
-                assert info.disjunct == min(
+                assert disjunct == min(
                     (uid for uid in ids if total[uid] == best), key=order.index
                 )
 
@@ -159,7 +159,7 @@ class TestPracticalGeneration:
         build = practical_framework(agent, "R")
         listed = ("u1", "u2", "u3")
         assert build.weak_preference[("a", "b")] == (listed[::-1] if reverse_ids else listed)
-        cited = [info.disjunct for info in build.rule_info.values() if info.source == "a"]
+        cited = [disjunct for source, _, disjunct in build.rows if source == "a" and disjunct is not None]
         assert cited == ["u2"]
 
     def test_principle_rules_follow_language_order(self):
@@ -188,24 +188,23 @@ class TestPracticalGeneration:
                 if source != target and prefers(matrix, principle, source, target)
             ]
             principle_rules = [
-                (r.head, build.rule_info[r.id].source, build.rule_info[r.id].target)
-                for r in build.framework.rules if build.rule_info[r.id].kind == "principle"
+                (r.head, row[0], row[1])
+                for r, row in zip(build.framework.rules, build.rows, strict=True) if row[2] is not None
             ]
             assert principle_rules == expected
             assert [r.id for r in build.framework.rules] == [
                 f"r{i + 1}" for i in range(len(build.framework.rules))
             ]
-            for r in build.framework.rules:
-                info = build.rule_info[r.id]
-                if info.kind == "principle":
-                    ids = prefers(matrix, principle, info.source, info.target)
-                    assert info.disjunct == max(ids, key=lambda uid: (total[uid], -ids.index(uid)))
+            for source, target, disjunct in build.rows:
+                if disjunct is not None:
+                    ids = prefers(matrix, principle, source, target)
+                    assert disjunct == max(ids, key=lambda uid: (total[uid], -ids.index(uid)))
 
     def test_argument_count_formula_on_s1(self, eldercare):
         result = analyze_practical(eldercare, "S1")
         principle_rules = [
-            r for r in result.build.framework.rules
-            if result.build.rule_info[r.id].kind == "principle"
+            r for r, row in zip(result.build.framework.rules, result.build.rows, strict=True)
+            if row[2] is not None
         ]
         satisfiable = [
             r for r in principle_rules
@@ -281,9 +280,10 @@ class TestPracticalPipeline:
         assert result.action_status["b"] == "rejected-a-priori"
 
         build = result.build
-        (rule,) = [r for r in build.framework.rules if build.rule_info[r.id].kind == "principle"]
+        (row,) = [row for row in build.rows if row[2] is not None]
+        rule = build.framework.rules[build.rows.index(row)]
         assert rule.body == ("u1", build.vector_of["b"])
-        assert rule not in build.arguments.values()
+        assert row not in build.arguments.values()
         assert build.attackers_of == {"a": ()}
         assert all(rule.id not in arg.rules_used for arg in result.aaf.arguments)
         assert result.aaf.ids == tuple(build.arguments) == ("X1",)
@@ -414,9 +414,9 @@ class TestEndToEnd:
         # The S2J matrix adds one principle rule over S1: u9 now covers
         # charge against seekTask (the readiness differential reaches 3).
         principle_rules = [
-            (info.disjunct, info.source, info.target)
-            for info in decision.practical.build.rule_info.values()
-            if info.kind == "principle"
+            (disjunct, source, target)
+            for source, target, disjunct in decision.practical.build.rows
+            if disjunct is not None
         ]
         assert ("u9", "charge", "seekTask") in principle_rules
         assert len(principle_rules) == 7
