@@ -46,7 +46,7 @@ def parse_agent(text: str, source: str = "<string>") -> VdaAgent:
         data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise AgentFileError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except SchemaError as exc:
+    except (SchemaError, ValueError) as exc:  # ValueError: an integer past the interpreter's digit limit
         raise AgentFileError(f"{source}: {exc}") from exc
     except RecursionError as exc:
         raise AgentFileError(f"{source}: JSON nested too deeply") from exc
@@ -63,8 +63,17 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     for key, value in pairs:
         if key in obj:
             raise SchemaError(f"duplicate key {key!r}")
-        obj[key] = value
+        obj[_utf8(key, "key")] = value
     return obj
+
+
+def _utf8(name: str, where: str) -> str:
+    """A name, refusing a lone surrogate escape, which no report can print."""
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:
+        raise SchemaError(f"{where}: {name!r} cannot be encoded as UTF-8") from None
+    return name
 
 
 def _expect(data: Any, key: str, kind: type, where: str, default: Any = None, required: bool = False) -> Any:
@@ -88,7 +97,7 @@ def _int_list(values: Any) -> bool:
 def _name_list(values: Any, where: str) -> tuple[str, ...]:
     if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
         raise SchemaError(f"{where}: expected a list of strings")
-    return tuple(values)
+    return tuple(_utf8(v, where) for v in values)
 
 
 def _build(data: Any) -> VdaAgent:
@@ -106,6 +115,7 @@ def _build(data: Any) -> VdaAgent:
             raise SchemaError(f"duty_names: unknown duty {key!r}")
         if not isinstance(value, str):
             raise SchemaError(f"duty_names.{key}: expected a string")
+        _utf8(value, f"duty_names.{key}")
 
     range_data = _expect(data, "value_range", list, "top level", default=list(DEFAULT_VALUE_RANGE))
     if len(range_data) != 2 or not _int_list(range_data):

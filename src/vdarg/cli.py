@@ -24,11 +24,10 @@ from .frameworks import (
     EpistemicResult,
     PracticalResult,
     Row,
+    adjudicate,
     analyze_epistemic,
     analyze_practical,
-    assumption_arguments,
     epistemic_framework,
-    evaluate,
 )
 from .oracle import (
     MAX_ORACLE_ARGUMENTS,
@@ -53,11 +52,12 @@ def _graph_payload(aaf: Aaf, report: AcceptanceReport) -> dict:
     }
 
 
-def _epistemic_arguments(aaf: Aaf, order) -> list[dict]:
-    return [
+def _epistemic_graph_payload(aaf: Aaf, report: AcceptanceReport, order) -> dict:
+    arguments = [
         {"id": arg.id, "premises": ordered_premises(arg.premises, order), "conclusion": arg.conclusion}
         for arg in aaf.arguments
     ]
+    return {"arguments": arguments, **_graph_payload(aaf, report), "diagnostic": report.diagnostic}
 
 
 def _argument_text(arg: dict) -> str:
@@ -211,22 +211,14 @@ def _practical_text(payload: dict) -> str:
 
 def _epistemic_framework_payload(spec: EpistemicSpec, semantics: str) -> dict:
     """The epistemic framework on its own, with no perception facts added."""
-    build = epistemic_framework(spec, extra_facts=())
-    aaf, report = evaluate(build.framework, "Y", build.relevant, semantics)
+    build = epistemic_framework(spec)
+    aaf, report, verdicts = adjudicate(build, semantics)
     return {
         "framework": "epistemic",
         "semantics": semantics,
-        "rules": [
-            {"id": r.id, "head": r.head, "body": list(r.body)}
-            for r in build.framework.rules
-        ],
-        "arguments": _epistemic_arguments(aaf, build.display_order),
-        **_graph_payload(aaf, report),
-        "diagnostic": report.diagnostic,
-        "assumptions": {
-            str(lit): report.statuses[arg.id].status
-            for lit, arg in zip(spec.assumptions, assumption_arguments(aaf, spec))
-        },
+        "rules": [{"id": r.id, "head": r.head, "body": list(r.body)} for r in build.framework.rules],
+        **_epistemic_graph_payload(aaf, report, build.display_order),
+        "assumptions": {str(v.literal): report.statuses[v.argument_id].status for v in verdicts},
     }
 
 
@@ -324,9 +316,7 @@ def _epistemic_payload(result: EpistemicResult) -> dict:
         "undecided": [lit.token for lit in result.undecided],
     }
     if result.aaf is not None:
-        payload["arguments"] = _epistemic_arguments(result.aaf, result.build.display_order)
-        payload.update(_graph_payload(result.aaf, result.report))
-        payload["diagnostic"] = result.report.diagnostic
+        payload.update(_epistemic_graph_payload(result.aaf, result.report, result.build.display_order))
         payload["assumptions"] = [
             {
                 "literal": v.literal.token,

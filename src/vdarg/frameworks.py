@@ -22,16 +22,17 @@ support (flat ABA: Bondarenko, Dung, Kowalski & Toni 1997; Toni 2014): the
 arguments of one action share their attackers, so the semantics decides
 them as one class with one status record.  ``PracticalBuild.sentences``
 writes a row out as a rule's head and body, and the ABA framework is built
-from the rows only when ``PracticalBuild.framework`` is first read; the
-argument graph, from ``derive_arguments`` and ``compute_attacks``, only when
-a caller reads ``PracticalResult.aaf``, as the commands that print rules and
-arguments do.
+from the rows only when ``PracticalBuild.framework`` is first read.
+``argument_graph`` is the one place that derives arguments and their
+attacks; a practical graph is built only when a caller reads
+``PracticalResult.aaf``, as the commands that print rules and arguments do.
 
 Epistemic reasoning: perception literals are sentences, designated literals
 are assumptions (contrary defaults to the complement), epistemic rules carry
 over, and true perceptions that are not assumptions become empty-body fact
-rules.  Adjudicating the assumptions yields the justified perceptions and,
-when every assumption is settled, a justified situation to decide in.
+rules.  ``adjudicate`` builds the argument graph, decides it and gives each
+assumption its verdict, which every epistemic report reads: the justified
+perceptions and, when every assumption is settled, a justified situation.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from functools import cached_property
 from itertools import count
 
 from . import core
-from .aba import AbaFramework, Aaf, Argument, Rule, compute_attacks, derive_arguments
+from .aba import AbaFramework, Aaf, Rule, compute_attacks, derive_arguments
 from .core import (
     EpistemicSpec,
     Literal,
@@ -190,22 +191,14 @@ class PracticalResult:
     def aaf(self) -> Aaf:
         """The derived arguments and their attackers, over the framework the
         build's rows write out."""
-        framework = self.build.framework
-        arguments = derive_arguments(framework, label="X", keep_conclusions=self.build.relevant)
-        return Aaf(arguments, compute_attacks(arguments, framework))
+        return argument_graph(self.build.framework, "X", self.build.relevant)
 
 
-def evaluate(
-    framework: AbaFramework,
-    label: str,
-    relevant: Iterable[str],
-    semantics: str,
-) -> tuple[Aaf, AcceptanceReport]:
-    """Derive the arguments concluding a relevant sentence, their attacks, and
-    every argument's acceptance status under one semantics."""
+def argument_graph(framework: AbaFramework, label: str, relevant: Iterable[str]) -> Aaf:
+    """The arguments concluding a relevant sentence, numbered with label, and
+    their attackers."""
     arguments = derive_arguments(framework, label=label, keep_conclusions=relevant)
-    aaf = Aaf(arguments, compute_attacks(arguments, framework))
-    return aaf, acceptance_status(aaf, semantics)
+    return Aaf(arguments, compute_attacks(arguments, framework))
 
 
 def analyze_practical(agent: VdaAgent, situation_id: str, semantics: str = "grounded") -> PracticalResult:
@@ -269,17 +262,12 @@ def epistemic_framework(spec: EpistemicSpec, extra_facts: Iterable[Literal] = ()
         rules.append(Rule(rule.id, shape[0], shape[1]))
 
     assumption_set = set(spec.assumptions)
-    facts: list[Literal] = []
-    for lit in tuple(spec.facts) + tuple(extra_facts):
-        if lit in assumption_set or lit in facts:
-            continue
-        facts.append(lit)
     # Facts take the ids f1, f2, ... that no epistemic rule already uses.
     used_ids = {rule.id for rule in spec.rules}
     fact_ids = (rid for rid in (f"f{k}" for k in count(1)) if rid not in used_ids)
-    for lit in facts:
+    for lit in (*spec.facts, *extra_facts):
         shape = (str(lit), ())
-        if shape in seen_shapes:
+        if lit in assumption_set or shape in seen_shapes:
             continue
         seen_shapes.add(shape)
         rules.append(Rule(next(fact_ids), shape[0], ()))
@@ -293,19 +281,7 @@ def epistemic_framework(spec: EpistemicSpec, extra_facts: Iterable[Literal] = ()
     )
     relevant = frozenset(assumption_sentences) | frozenset(contraries.values())
     display_order = {s: i for i, s in enumerate(assumption_sentences)}
-    return EpistemicBuild(
-        spec=spec,
-        framework=framework,
-        relevant=relevant,
-        display_order=display_order,
-    )
-
-
-def assumption_arguments(aaf: Aaf, spec: EpistemicSpec) -> tuple[Argument, ...]:
-    """The argument {a} |- a of each assumption a of spec, in declaration
-    order: derive_arguments numbers these first, and every assumption of an
-    epistemic framework is relevant."""
-    return aaf.arguments[:len(spec.assumptions)]
+    return EpistemicBuild(spec, framework, relevant, display_order)
 
 
 @dataclass(frozen=True)
@@ -316,6 +292,34 @@ class AssumptionVerdict:
     attackers: tuple[str, ...]
     defenders: tuple[str, ...]
     rejecting_attacker: str | None
+
+
+def adjudicate(
+    build: EpistemicBuild, semantics: str
+) -> tuple[Aaf, AcceptanceReport, tuple[AssumptionVerdict, ...]]:
+    """The argument graph, its acceptance report under one semantics, and
+    each assumption's verdict in declaration order."""
+    aaf = argument_graph(build.framework, "Y", build.relevant)
+    report = acceptance_status(aaf, semantics)
+
+    # derive_arguments numbers the argument {a} |- a of each assumption a
+    # first, in declaration order: every assumption is relevant.
+    verdicts: list[AssumptionVerdict] = []
+    for lit, argument in zip(build.spec.assumptions, aaf.arguments):
+        arg_id = argument.id
+        status = report.statuses[arg_id]
+        atts = aaf.attackers_of[arg_id]
+        counter_attackers = set().union(*map(aaf.attackers_of.__getitem__, atts))
+        defenders = tuple(sorted(
+            (d for d in counter_attackers if report.statuses[d].in_all), key=aaf.index.__getitem__
+        ))
+        verdict = {"skeptically-justified": "justified", "skeptically-rejected": "rejected"}.get(
+            status.status, "undecided"
+        )
+        # No attacker of a justified or undecided argument is in every extension.
+        rejecting = next((a for a in atts if report.statuses[a].in_all), None)
+        verdicts.append(AssumptionVerdict(lit, arg_id, verdict, atts, defenders, rejecting))
+    return aaf, report, tuple(verdicts)
 
 
 @dataclass(frozen=True)
@@ -354,28 +358,9 @@ def analyze_epistemic(
     assumption_set = set(spec.assumptions)
     auto_facts = tuple(Literal(p) for p in ordered_p if Literal(p) not in assumption_set)
     build = epistemic_framework(spec, extra_facts=auto_facts)
-    aaf, report = evaluate(build.framework, "Y", build.relevant, semantics)
+    aaf, report, verdicts = adjudicate(build, semantics)
 
-    verdicts: list[AssumptionVerdict] = []
-    for lit, argument in zip(spec.assumptions, assumption_arguments(aaf, spec)):
-        arg_id = argument.id
-        status = report.statuses[arg_id]
-        atts = aaf.attackers_of[arg_id]
-        counter_attackers = set().union(*map(aaf.attackers_of.__getitem__, atts))
-        defenders = tuple(sorted(
-            (d for d in counter_attackers if report.statuses[d].in_all), key=aaf.index.__getitem__
-        ))
-        verdict = {"skeptically-justified": "justified", "skeptically-rejected": "rejected"}.get(
-            status.status, "undecided"
-        )
-        # No attacker of a justified or undecided argument is in every extension.
-        rejecting = next((a for a in atts if report.statuses[a].in_all), None)
-        verdicts.append(AssumptionVerdict(lit, arg_id, verdict, atts, defenders, rejecting))
-
-    justified_literals = [v.literal for v in verdicts if v.status == "justified"]
-    pj = frozenset(Literal(p) for p in ordered_p if Literal(p) not in assumption_set) | frozenset(
-        justified_literals
-    )
+    pj = frozenset(auto_facts) | frozenset(v.literal for v in verdicts if v.status == "justified")
     undecided = tuple(v.literal for v in verdicts if v.status == "undecided")
 
     situation = None
@@ -392,7 +377,7 @@ def analyze_epistemic(
 
     return EpistemicResult(
         spec, semantics, ordered_p, build, aaf, report,
-        tuple(verdicts), pj, situation, undecided,
+        verdicts, pj, situation, undecided,
     )
 
 

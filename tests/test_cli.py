@@ -264,6 +264,51 @@ class TestEpistemic:
         assert code == 1
         assert "undecided assumptions: x, ¬x" in out
 
+    def test_justified_contradiction_is_reported_by_epistemic_not_justify(self, run, tmp_path):
+        # Both p and ~p are unattacked, so both are justified: the framework
+        # report lists them, but no situation can hold both.
+        path = tmp_path / "contradiction.json"
+        path.write_text(json.dumps({
+            "language": {"atoms": ["p", "q", "r"], "actions": [], "duties": []},
+            "epistemic": {"assumptions": ["p", "~p"], "contraries": {"p": "q", "~p": "r"}},
+        }), encoding="utf-8")
+        code, out, err = run("justify", str(path))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-3:] == ["assumption status:", "  p: skeptically-justified",
+                                         "  ¬p: skeptically-justified"]
+        code, out, err = run("epistemic", str(path), "--perceptions", "")
+        assert (code, out) == (2, "")
+        assert err == "error: justified perceptions are contradictory for atoms: ['p']\n"
+
+
+class TestArgumentsDerivedOnce:
+    """Each command derives the argument graph at most once: the epistemic
+    reports and the practical justify report read one graph, and deciding or
+    explaining an action reads none."""
+
+    @pytest.mark.parametrize("argv, derivations", [
+        (("justify", "{nixon}"), 1),
+        (("epistemic", "{eldercare}", "S2"), 1),
+        (("explain", "{eldercare}", "S2", "--situation"), 1),
+        (("justify", "{eldercare}", "S1"), 1),
+        (("solve", "{eldercare}", "S1"), 0),
+        (("explain", "{eldercare}", "S1", "charge"), 0),
+    ])
+    def test_derivations_per_command(self, run, monkeypatch, eldercare_path, nixon_path, argv, derivations):
+        import vdarg.frameworks
+
+        calls = []
+        derive = vdarg.frameworks.derive_arguments
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return derive(*args, **kwargs)
+
+        monkeypatch.setattr(vdarg.frameworks, "derive_arguments", counting)
+        code, _, err = run(*(a.format(eldercare=eldercare_path, nixon=nixon_path) for a in argv))
+        assert (code, err) == (0, "")
+        assert len(calls) == derivations
+
 
 class TestDeterminismAndCodes:
     @pytest.mark.parametrize(
@@ -371,6 +416,55 @@ class TestDeterminismAndCodes:
         assert code == 2
         assert out == ""
         assert "'~ab' and '¬ab'" in err
+
+    @pytest.mark.parametrize("argv", [["solve", "S1"], ["justify", "S1"]])
+    @pytest.mark.parametrize("digit_limit", [None, 0])
+    def test_integer_past_the_digit_limit_exits_2(self, run, tmp_path, eldercare_path, argv, digit_limit):
+        # Written as raw text: json.dumps cannot write an integer this long.
+        # With the interpreter's digit limit off (0), the value range rejects it.
+        import sys
+
+        text = eldercare_path.read_text(encoding="utf-8")
+        huge = text.replace('"charge":   [0, 1,', '"charge":   [0, ' + "9" * 5000 + ",", 1)
+        assert huge != text
+        path = tmp_path / "huge.json"
+        path.write_text(huge, encoding="utf-8")
+        default_limit = sys.get_int_max_str_digits()
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
+        try:
+            code, out, err = run(argv[0], str(path), *argv[1:])
+        finally:
+            sys.set_int_max_str_digits(default_limit)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [["solve", "S1"], ["solve", "S1", "--format", "json"]])
+    def test_lone_surrogate_in_a_name_exits_2_at_load(self, tmp_path, eldercare_path, argv):
+        # In a subprocess: an in-process StringIO accepts what stdout cannot encode.
+        import subprocess
+        import sys
+
+        text = eldercare_path.read_text(encoding="utf-8")
+        path = tmp_path / "surrogate.json"
+        path.write_text(text.replace('"warn"', '"w\\ud800"'), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "vdarg.cli", argv[0], str(path), *argv[1:]],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "surrogate.json" in proc.stderr
+
+    def test_lone_surrogate_in_a_duty_name_exits_2(self, run, tmp_path, eldercare_path):
+        text = eldercare_path.read_text(encoding="utf-8")
+        path = tmp_path / "duty-name.json"
+        path.write_text(text.replace('"maximize honor', '"\\udc00 honor', 1), encoding="utf-8")
+        code, out, err = run("explain", str(path), "S1", "charge")
+        assert (code, out) == (2, "")
+        assert "duty_names.MHC" in err
 
     def test_deeply_nested_json_exits_2(self, run, tmp_path):
         path = tmp_path / "nested.json"

@@ -31,7 +31,7 @@ from vdarg import (
     stable,
     to_aaf,
 )
-from vdarg.frameworks import evaluate
+from vdarg.frameworks import argument_graph
 from vdarg.oracle import brute_force_extensions, random_aaf
 from vdarg.semantics import SEMANTICS, _Graph
 
@@ -252,7 +252,7 @@ class TestClassQuotient:
             )),
         )
         build = practical_framework(agent, "R")
-        aaf, _ = evaluate(build.framework, "X", build.relevant, "grounded")
+        aaf = argument_graph(build.framework, "X", build.relevant)
         assert len(aaf.arguments) == arguments
 
         found = complete(aaf, budget=budget)
