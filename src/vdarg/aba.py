@@ -365,7 +365,11 @@ def ordered_premises(premises: Iterable[str], premise_order: Mapping[str, int] |
         return sorted(premises, key=lambda s: (order.get(s, len(order)), s))
 
 
+def argument_text(premises: Iterable[str], conclusion: str) -> str:
+    """Display form '{p1, p2} ⊢ conclusion', premises in the order given."""
+    return f"{{{', '.join(premises)}}} ⊢ {conclusion}"
+
+
 def render_argument(argument: Argument, premise_order: Mapping[str, int] | None = None) -> str:
-    """Display form '{p1, p2} ⊢ conclusion' with premises canonically ordered."""
-    inner = ", ".join(ordered_premises(argument.premises, premise_order))
-    return f"{{{inner}}} ⊢ {argument.conclusion}"
+    """argument_text with the premises canonically ordered."""
+    return argument_text(ordered_premises(argument.premises, premise_order), argument.conclusion)

@@ -100,13 +100,28 @@ def _name_list(values: Any, where: str) -> tuple[str, ...]:
     return tuple(_utf8(v, where) for v in values)
 
 
+def _names(data: Any, key: str, where: str) -> tuple[str, ...]:
+    """The optional list of names under key, empty when absent."""
+    values = _expect(data, key, list, where, default=[])
+    return _name_list(values, f"{where}.{key}")
+
+
+def _duty_row(row: Any, duties: tuple[str, ...], where: str) -> dict[str, int]:
+    """A matrix or principle row: one integer per duty, in declared order."""
+    if not _int_list(row):
+        raise SchemaError(f"{where}: expected a list of integers")
+    if len(row) != len(duties):
+        raise SchemaError(f"{where}: expected {len(duties)} values, got {len(row)}")
+    return dict(zip(duties, row))
+
+
 def _build(data: Any) -> VdaAgent:
     if not isinstance(data, dict):
         raise SchemaError("top level must be a JSON object")
     lang_data = _expect(data, "language", dict, "top level", required=True)
-    atoms = _name_list(_expect(lang_data, "atoms", list, "language", default=[]), "language.atoms")
-    actions = _name_list(_expect(lang_data, "actions", list, "language", default=[]), "language.actions")
-    duties = _name_list(_expect(lang_data, "duties", list, "language", default=[]), "language.duties")
+    atoms = _names(lang_data, "atoms", "language")
+    actions = _names(lang_data, "actions", "language")
+    duties = _names(lang_data, "duties", "language")
     language = VdaLanguage(atoms, actions, duties)
 
     duty_names = _expect(data, "duty_names", dict, "top level", default={})
@@ -131,39 +146,23 @@ def _build(data: Any) -> VdaAgent:
     for sid, rows in _expect(data, "matrices", dict, "top level", default={}).items():
         if not isinstance(rows, dict):
             raise SchemaError(f"matrices.{sid}: expected an object of action rows")
-        vectors = {}
-        for action, row in rows.items():
-            where = f"matrices.{sid}.{action}"
-            if not _int_list(row):
-                raise SchemaError(f"{where}: expected a list of integers")
-            if len(row) != len(duties):
-                raise SchemaError(f"{where}: expected {len(duties)} values, got {len(row)}")
-            vectors[action] = DutyVector(action, dict(zip(duties, row)))
+        vectors = {
+            action: DutyVector(action, _duty_row(row, duties, f"matrices.{sid}.{action}"))
+            for action, row in rows.items()
+        }
         matrices[sid] = ActionMatrix(sid, vectors)
 
     principle = None
     principle_data = _expect(data, "principle", dict, "top level", default=None)
     if principle_data:
-        disjuncts = []
-        for uid, row in principle_data.items():
-            where = f"principle.{uid}"
-            if not _int_list(row):
-                raise SchemaError(f"{where}: expected a list of integers")
-            if len(row) != len(duties):
-                raise SchemaError(f"{where}: expected {len(duties)} values, got {len(row)}")
-            disjuncts.append(Disjunct(uid, dict(zip(duties, row))))
-        principle = Principle(tuple(disjuncts))
+        principle = Principle(tuple(
+            Disjunct(uid, _duty_row(row, duties, f"principle.{uid}")) for uid, row in principle_data.items()
+        ))
 
     epistemic = None
     epistemic_data = _expect(data, "epistemic", dict, "top level", default=None)
     if epistemic_data is not None:
-        assumptions = tuple(
-            Literal.parse(tok)
-            for tok in _name_list(
-                _expect(epistemic_data, "assumptions", list, "epistemic", default=[]),
-                "epistemic.assumptions",
-            )
-        )
+        assumptions = tuple(map(Literal.parse, _names(epistemic_data, "assumptions", "epistemic")))
         contraries = {}
         spelling: dict[Literal, str] = {}
         for key, value in _expect(epistemic_data, "contraries", dict, "epistemic", default={}).items():
@@ -182,17 +181,9 @@ def _build(data: Any) -> VdaAgent:
             if not isinstance(body, dict):
                 raise SchemaError(f"{where}: expected an object with head/body")
             head = _expect(body, "head", str, where, required=True)
-            body_tokens = _name_list(_expect(body, "body", list, where, default=[]), f"{where}.body")
-            rules.append(
-                EpistemicRule(rid, Literal.parse(head), tuple(Literal.parse(t) for t in body_tokens))
-            )
-        facts = tuple(
-            Literal.parse(tok)
-            for tok in _name_list(
-                _expect(epistemic_data, "facts", list, "epistemic", default=[]),
-                "epistemic.facts",
-            )
-        )
+            body_tokens = _names(body, "body", where)
+            rules.append(EpistemicRule(rid, Literal.parse(head), tuple(map(Literal.parse, body_tokens))))
+        facts = tuple(map(Literal.parse, _names(epistemic_data, "facts", "epistemic")))
         epistemic = EpistemicSpec(atoms, assumptions, tuple(rules), contraries, facts)
 
     return VdaAgent(

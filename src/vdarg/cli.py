@@ -15,10 +15,10 @@ import sys
 from dataclasses import asdict
 
 from . import core
-from .aba import Aaf, Rule, ordered_premises
+from .aba import Aaf, Rule, argument_text, ordered_premises
 from .agentfile import load_agent
-from .core import EpistemicSpec
-from .errors import IndeterminateSituationError, SchemaError, UnknownNameError, VdaError
+from .core import EpistemicSpec, Literal, ordered_literals, ordering_from_pairs
+from .errors import SchemaError, UnknownNameError, VdaError
 from .explain import explain_action, explain_situation
 from .frameworks import (
     EpistemicResult,
@@ -60,10 +60,6 @@ def _epistemic_graph_payload(aaf: Aaf, report: AcceptanceReport, order) -> dict:
     return {"arguments": arguments, **_graph_payload(aaf, report), "diagnostic": report.diagnostic}
 
 
-def _argument_text(arg: dict) -> str:
-    return f"{{{', '.join(arg['premises'])}}} ⊢ {arg['conclusion']}"
-
-
 def _rule_lines(payload: dict) -> list[str]:
     lines = ["rules:"]
     for rule in payload["rules"]:
@@ -74,7 +70,7 @@ def _rule_lines(payload: dict) -> list[str]:
 
 def _graph_lines(payload: dict) -> list[str]:
     lines = ["arguments:"]
-    lines.extend(f"  {arg['id']}: {_argument_text(arg)}" for arg in payload["arguments"])
+    lines.extend(f"  {a['id']}: {argument_text(a['premises'], a['conclusion'])}" for a in payload["arguments"])
     lines.append("attacks:")
     lines.extend(f"  {src} → {dst}" for src, dst in payload["attacks"])
     lines.append("extensions:")
@@ -88,7 +84,8 @@ def _graph_lines(payload: dict) -> list[str]:
 def _dot(payload: dict) -> str:
     lines = ["digraph aaf {", "  rankdir=LR;"]
     for arg in payload["arguments"]:
-        label = f"{arg['id']}: {_argument_text(arg)}".replace("\\", "\\\\").replace('"', '\\"')
+        text = argument_text(arg["premises"], arg["conclusion"])
+        label = f"{arg['id']}: {text}".replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  {arg["id"]} [label="{label}"];')
     for src, dst in payload["attacks"]:
         lines.append(f"  {src} -> {dst};")
@@ -133,7 +130,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     matrix = agent.matrix_for(args.situation)
     weak = core.weak_preference_pairs(matrix, agent.require_principle())
     report = core.solution_report_from_pairs(matrix.vectors, weak)
-    ordering = core._ordering_from_pairs(matrix.vectors, weak)
+    ordering = ordering_from_pairs(matrix.vectors, weak)
     payload = {
         "situation": args.situation,
         "solutions": [a for a in agent.language.actions if a in report.actions],
@@ -233,13 +230,17 @@ def _epistemic_framework_text(payload: dict) -> str:
 
 
 def cmd_justify(args: argparse.Namespace) -> int:
+    if args.dot and args.format == "json":
+        raise SchemaError("--dot and --format json cannot be combined")
     agent = load_agent(args.file)
     if args.situation is not None:
         payload = _practical_payload(analyze_practical(agent, args.situation, args.semantics))
         render_text = _practical_text
     else:
-        if agent.epistemic is None or not agent.epistemic.assumptions:
+        if agent.epistemic is None:
             raise SchemaError("no situation given and the file has no epistemic section")
+        if not agent.epistemic.assumptions:
+            raise SchemaError("no situation given and the epistemic section declares no assumptions")
         payload = _epistemic_framework_payload(agent.epistemic, args.semantics)
         render_text = _epistemic_framework_text
     if args.dot:
@@ -257,6 +258,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
     if args.situation_mode:
         if agent.epistemic is None:
             raise SchemaError("the file has no epistemic section")
+        if not agent.epistemic.assumptions:
+            raise SchemaError("the epistemic section declares no assumptions to explain")
         perceptions = sorted(agent.situation(args.situation).positives)
         result = analyze_epistemic(agent.epistemic, perceptions, args.semantics)
         payload = [asdict(e) for e in explain_situation(result)]
@@ -295,18 +298,13 @@ def _explanation_text(e: dict) -> str:
     return "\n".join(lines)
 
 
-def _ordered_literals(literals, atoms):
-    order = {a: i for i, a in enumerate(atoms)}
-    return sorted(literals, key=lambda lit: (not lit.positive, order.get(lit.atom, len(order))))
-
-
 def _epistemic_payload(result: EpistemicResult) -> dict:
     atoms = result.spec.atoms
     payload: dict = {
         "perceptions": list(result.perceptions),
         "semantics": result.semantics,
         "justified_perceptions": [
-            lit.token for lit in _ordered_literals(result.justified_perceptions, atoms)
+            lit.token for lit in ordered_literals(result.justified_perceptions, atoms)
         ],
         "situation": (
             [lit.token for lit in result.situation.ordered(atoms)]
@@ -330,12 +328,10 @@ def _epistemic_payload(result: EpistemicResult) -> dict:
     return payload
 
 
-def _shown(token: str) -> str:
-    """Display form of a literal token: '~atom' is shown as '¬atom'."""
-    return "¬" + token[1:] if token.startswith("~") else token
-
-
 def _epistemic_text(payload: dict) -> str:
+    def shown(tokens) -> str:  # '~atom' is shown as '¬atom'
+        return ", ".join(str(Literal.parse(token)) for token in tokens)
+
     lines = ["perceptions: " + ", ".join(payload["perceptions"])]
     if "arguments" not in payload:
         lines.append("assumptions: (none)")
@@ -354,14 +350,12 @@ def _epistemic_text(payload: dict) -> str:
                 detail = f"attacked by {rejecting}"
             else:
                 detail = "undecided"
-            lines.append(f"  {_shown(verdict['literal'])}: {verdict['status']} ({detail})")
-    pj = [_shown(token) for token in payload["justified_perceptions"]]
-    lines.append("P^J: " + (", ".join(pj) or "(empty)"))
+            lines.append(f"  {Literal.parse(verdict['literal'])}: {verdict['status']} ({detail})")
+    lines.append("P^J: " + (shown(payload["justified_perceptions"]) or "(empty)"))
     if payload["situation"] is not None:
-        lines.append("S^J: " + ", ".join(_shown(token) for token in payload["situation"]))
+        lines.append("S^J: " + shown(payload["situation"]))
     else:
-        undecided = ", ".join(_shown(token) for token in payload["undecided"])
-        lines.append(f"S^J: indeterminate (undecided assumptions: {undecided})")
+        lines.append(f"S^J: indeterminate (undecided assumptions: {shown(payload['undecided'])})")
     return "\n".join(lines)
 
 
@@ -381,6 +375,8 @@ def cmd_epistemic(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
+    if min(args.instances, args.aafs) < 0:
+        raise SchemaError("--instances and --aafs must not be negative")
     mismatches = 0
     for i in range(args.instances):
         spec = RandomVdaSpec(seed=args.seed + i)
@@ -467,9 +463,6 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except IndeterminateSituationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except VdaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -113,11 +113,14 @@ class Situation:
         return frozenset(lit.atom for lit in self.literals if lit.positive)
 
     def ordered(self, atoms: Sequence[str]) -> tuple[Literal, ...]:
-        """Positive literals first, then negative, each in atom declaration order."""
-        by_atom = {lit.atom: lit for lit in self.literals}
-        pos = tuple(by_atom[a] for a in atoms if by_atom[a].positive)
-        neg = tuple(by_atom[a] for a in atoms if not by_atom[a].positive)
-        return pos + neg
+        return ordered_literals(self.literals, atoms)
+
+
+def ordered_literals(literals: Iterable[Literal], atoms: Sequence[str]) -> tuple[Literal, ...]:
+    """The literals over atoms: positive ones first, then negative ones, each
+    in atom declaration order."""
+    present = set(literals)
+    return tuple(lit for positive in (True, False) for a in atoms if (lit := Literal(a, positive)) in present)
 
 
 @dataclass(frozen=True)
@@ -514,10 +517,10 @@ def ethical_ordering(
     """
     matrix = agent.matrix_for(situation_id)
     principle = agent.require_principle()
-    return _ordering_from_pairs(matrix.vectors, weak_preference_pairs(matrix, principle), tie_break)
+    return ordering_from_pairs(matrix.vectors, weak_preference_pairs(matrix, principle), tie_break)
 
 
-def _ordering_from_pairs(
+def ordering_from_pairs(
     actions: Iterable[str],
     weak: Mapping[tuple[str, str], tuple[str, ...]],
     tie_break: Sequence[str] | None = None,

@@ -12,11 +12,11 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
-from .aba import ordered_premises
+from .aba import argument_text, ordered_premises
 from .errors import SchemaError, UnknownNameError
 from .frameworks import EpistemicResult, PracticalResult
 
-_VvaluePairs = tuple[tuple[str, int], ...]
+_ValuePairs = tuple[tuple[str, int], ...]
 
 
 @dataclass(frozen=True)
@@ -27,10 +27,10 @@ class AttackerCitation:
     extensions: tuple[str, ...]          # extension labels where this attacker is accepted
     counter_attackers: tuple[str, ...]   # accepted arguments striking back
     disjunct: str | None = None
-    disjunct_bounds: _VvaluePairs | None = None
+    disjunct_bounds: _ValuePairs | None = None
     source_action: str | None = None
-    source_vector: _VvaluePairs | None = None
-    target_vector: _VvaluePairs | None = None
+    source_vector: _ValuePairs | None = None
+    target_vector: _ValuePairs | None = None
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,6 @@ class Explanation:
     defenders: tuple[str, ...]
     semantics: str
     text: str = ""
-
-
-def _value_pairs(values: Mapping[str, int]) -> _VvaluePairs:
-    return tuple(values.items())
 
 
 def explain_action(result: PracticalResult, action: str) -> Explanation:
@@ -77,10 +73,10 @@ def explain_action(result: PracticalResult, action: str) -> Explanation:
             extensions=extensions,
             counter_attackers=tuple(c for c in attackers_of[source] if report.statuses[c].in_some),
             disjunct=disjunct,
-            disjunct_bounds=_value_pairs(principle.by_id(disjunct).bounds),
+            disjunct_bounds=tuple(principle.by_id(disjunct).bounds.items()),
             source_action=source,
-            source_vector=_value_pairs(matrix.vector(source).values),
-            target_vector=_value_pairs(matrix.vector(action).values),
+            source_vector=tuple(matrix.vector(source).values.items()),
+            target_vector=tuple(matrix.vector(action).values.items()),
         )
 
     def rank(att_id: str) -> tuple[int, str]:
@@ -191,7 +187,7 @@ def _join(parts: tuple[str, ...]) -> str:
 
 
 def _duty_phrase(
-    vector: _VvaluePairs,
+    vector: _ValuePairs,
     differing: set[str],
     duty_names: Mapping[str, str],
 ) -> str:
@@ -222,7 +218,7 @@ def render_text(explanation: Explanation, duty_names: Mapping[str, str] | None =
             "no duty, so no action rule was generated."
         )
 
-    head = f"{e.argument_id} ({{{', '.join(e.premises)}}} ⊢ {e.subject})"
+    head = f"{e.argument_id} ({argument_text(e.premises, e.subject)})"
     if e.verdict in ("justified-skeptical", "justified-credulous"):
         where = (
             f"in every extension ({_join(e.extensions)})"
@@ -251,7 +247,7 @@ def render_text(explanation: Explanation, duty_names: Mapping[str, str] | None =
             prem = _join(att.premises)
             text += (
                 f" In {_join(att.extensions)} it is attacked by {att.argument_id} "
-                f"({{{', '.join(att.premises)}}} ⊢ {att.conclusion}), "
+                f"({argument_text(att.premises, att.conclusion)}), "
                 f"whose premises ({prem}) are accepted."
             )
         gloss = _rejection_gloss(e, duty_names)
@@ -305,8 +301,7 @@ def _render_assumption(e: Explanation) -> str:
             return (
                 f"Assumption '{e.subject}' is skeptically rejected: its argument "
                 f"{e.argument_id} is attacked by the skeptically accepted argument "
-                f"{attacker.argument_id} ({{{', '.join(attacker.premises)}}} ⊢ "
-                f"{attacker.conclusion}; {prem})."
+                f"{attacker.argument_id} ({argument_text(attacker.premises, attacker.conclusion)}; {prem})."
             )
         return f"Assumption '{e.subject}' is skeptically rejected."
     listed = ", ".join(att.argument_id for att in e.attackers) or "none"

@@ -43,7 +43,7 @@ from functools import cached_property
 from itertools import count
 
 from . import core
-from .aba import AbaFramework, Aaf, Rule, compute_attacks, derive_arguments
+from .aba import DEFAULT_MAX_ARGUMENTS, AbaFramework, Aaf, Rule, compute_attacks, derive_arguments
 from .core import (
     EpistemicSpec,
     Literal,
@@ -55,6 +55,7 @@ from .core import (
 )
 from .errors import (
     IndeterminateSituationError,
+    ResourceCapError,
     SchemaError,
     UnknownNameError,
 )
@@ -151,6 +152,8 @@ def practical_framework(agent: VdaAgent, situation_id: str) -> PracticalBuild:
             arguments[arg_id] = row
             if disjunct is not None:
                 attackers[target].append(arg_id)
+    if len(arguments) > DEFAULT_MAX_ARGUMENTS:  # derive_arguments' cap, checked before any semantics runs
+        raise ResourceCapError("max_arguments", DEFAULT_MAX_ARGUMENTS)
 
     ordered = (
         [u.id for u in principle]

@@ -171,3 +171,42 @@ class TestNameCollisions:
         }
         with pytest.raises(AgentFileError, match=r"collision.*'v_R\(go\)'"):
             parse_agent(json.dumps(data))
+
+
+class TestErrorMessages:
+    """Loader and validation errors, each with its exact message."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.pop("language"), "top level: missing key 'language'"),
+        (lambda d: d["language"].update(atoms="lb"), "language.atoms: expected list"),
+        (lambda d: d["language"].update(duties=["MHC", 1]), "language.duties: expected a list of strings"),
+        (lambda d: d["duty_names"].update(MHC=3), "duty_names.MHC: expected a string"),
+        (lambda d: d["matrices"].update(S1=[]), "matrices.S1: expected an object of action rows"),
+        (lambda d: d["matrices"]["S1"].update(warn=[0, "1"]), "matrices.S1.warn: expected a list of integers"),
+        (lambda d: d["principle"].update(u2=[0]), "principle.u2: expected 7 values, got 1"),
+        (lambda d: d["epistemic"].update(contraries={"fc": 3}), "epistemic.contraries.fc: expected a string"),
+        (lambda d: d["epistemic"]["rules"].update(r11=["lb"]),
+         "epistemic.rules.r11: expected an object with head/body"),
+        (lambda d: d["epistemic"]["rules"]["r11"].update(body="lb"), "epistemic.rules.r11.body: expected list"),
+        (lambda d: d["epistemic"].update(facts=[None]), "epistemic.facts: expected a list of strings"),
+        (lambda d: d.update(value_range=[2, -2]), "empty value range: (2, -2)"),
+        (lambda d: d["epistemic"].update(assumptions=["fc", "fc"]), "duplicate epistemic assumptions"),
+        (lambda d: d["epistemic"].update(contraries={"mrt": "r"}), "contrary override for non-assumption mrt"),
+        (lambda d: d["epistemic"].update(assumptions=["~"]), "empty literal: '~'"),
+    ], ids=[
+        "no-language", "atoms-not-a-list", "duty-not-a-string", "duty-name-not-a-string", "matrix-not-an-object",
+        "row-not-integers", "short-principle-row", "contrary-not-a-string", "rule-not-an-object",
+        "body-not-a-list", "fact-not-a-string", "empty-value-range", "duplicate-assumption",
+        "contrary-of-non-assumption", "bare-negation",
+    ])
+    def test_edited_eldercare(self, eldercare, edit, message):
+        data = json.loads(dump_agent(eldercare))
+        edit(data)
+        with pytest.raises(AgentFileError) as info:
+            parse_agent(json.dumps(data))
+        assert str(info.value) == f"<string>: {message}"
+
+    def test_top_level_list(self):
+        with pytest.raises(AgentFileError) as info:
+            parse_agent("[]")
+        assert str(info.value) == "<string>: top level must be a JSON object"

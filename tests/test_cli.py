@@ -20,6 +20,19 @@ def run(capsys):
     return invoke
 
 
+def _variant(tmp_path, eldercare_path, edit) -> str:
+    """The path of a copy of eldercare changed in place by edit."""
+    data = json.loads(eldercare_path.read_text(encoding="utf-8"))
+    edit(data)
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    return str(path)
+
+
+def _no_assumptions(data) -> None:
+    data["epistemic"] = {"assumptions": []}
+
+
 class TestSolve:
     def test_eldercare_s1(self, run, eldercare_path):
         code, out, _ = run("solve", str(eldercare_path), "S1")
@@ -137,6 +150,18 @@ class TestJustify:
         assert code == 2
         assert "epistemic" in err
 
+    def test_without_situation_needs_epistemic_assumptions(self, run, tmp_path, eldercare_path):
+        code, out, err = run("justify", _variant(tmp_path, eldercare_path, _no_assumptions))
+        assert (code, out) == (2, "")
+        assert err == "error: no situation given and the epistemic section declares no assumptions\n"
+
+    @pytest.mark.parametrize("argv", [("{nixon}",), ("{eldercare}", "S1")], ids=["nixon", "eldercare-S1"])
+    def test_dot_and_json_format_cannot_be_combined(self, run, eldercare_path, nixon_path, argv):
+        resolved = [a.format(eldercare=eldercare_path, nixon=nixon_path) for a in argv]
+        code, out, err = run("justify", *resolved, "--dot", "--format", "json")
+        assert (code, out) == (2, "")
+        assert err == "error: --dot and --format json cannot be combined\n"
+
 
 class TestExplain:
     def test_charge_rejection(self, run, eldercare_path):
@@ -185,6 +210,26 @@ class TestExplain:
         assert code == 2
         assert "either" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_situation_mode_needs_epistemic_assumptions(self, run, tmp_path, eldercare_path, fmt):
+        path = _variant(tmp_path, eldercare_path, _no_assumptions)
+        code, out, err = run("explain", path, "S1", "--situation", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == "error: the epistemic section declares no assumptions to explain\n"
+
+    def test_situation_mode_needs_an_epistemic_section(self, run, tmp_path, eldercare_path):
+        path = _variant(tmp_path, eldercare_path, lambda data: data.pop("epistemic"))
+        code, out, err = run("explain", path, "S1", "--situation")
+        assert (code, out) == (2, "")
+        assert err == "error: the file has no epistemic section\n"
+
+    def test_compile_cap_stops_before_deciding(self, run, eldercare_path, monkeypatch):
+        # Eldercare S1 compiles to 10 arguments.
+        monkeypatch.setattr("vdarg.frameworks.DEFAULT_MAX_ARGUMENTS", 9)
+        code, out, err = run("explain", str(eldercare_path), "S1", "charge")
+        assert (code, out) == (2, "")
+        assert "max_arguments" in err
+
 
 class TestEpistemic:
     def test_s2_report(self, run, eldercare_path):
@@ -220,6 +265,32 @@ class TestEpistemic:
         assert code == 0
         assert "P^J: x" in out
         assert "S^J: x, ¬y" in out
+
+    def test_empty_assumptions_keep_the_identity_report_for_a_situation(self, run, tmp_path, eldercare_path):
+        code, out, err = run("epistemic", _variant(tmp_path, eldercare_path, _no_assumptions), "S1")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "perceptions: mrt, r, rm, fc",
+            "assumptions: (none)",
+            "P^J: mrt, r, rm, fc",
+            "S^J: mrt, r, rm, fc, ¬lb, ¬ni, ¬w, ¬pi, ¬e, ¬iw, ¬ab",
+        ]
+
+    @pytest.mark.parametrize("argv, message", [
+        (("S1", "--perceptions", "x"), "give a situation name or --perceptions, not both"),
+        (("--perceptions", "bogus"), "perceptions outside the atom set: ['bogus']"),
+        (("BOGUS",), "unknown situation 'BOGUS'"),
+    ], ids=["situation-and-perceptions", "unknown-perception", "unknown-situation"])
+    def test_bad_perceptions_exit_2(self, run, eldercare_path, argv, message):
+        code, out, err = run("epistemic", str(eldercare_path), *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    def test_needs_an_epistemic_section(self, run, tmp_path, eldercare_path):
+        path = _variant(tmp_path, eldercare_path, lambda data: data.pop("epistemic"))
+        code, out, err = run("epistemic", path, "S1")
+        assert (code, out) == (2, "")
+        assert err == "error: the file has no epistemic section\n"
 
     def test_json_carries_the_diagnostic_of_the_text(self, run, tmp_path):
         path = tmp_path / "odd.json"
@@ -371,6 +442,18 @@ class TestDeterminismAndCodes:
         code, out, _ = run("oracle-check", "--instances", "2", "--aafs", "0")
         assert code == 1
         assert out.strip() == "oracle-check: instances=2 aafs=0 mismatches=8"
+
+    @pytest.mark.parametrize("counts", [("-3", "-1"), ("0", "-1"), ("-1", "0")])
+    def test_oracle_check_refuses_negative_counts(self, run, counts):
+        code, out, err = run("oracle-check", "--instances", counts[0], "--aafs", counts[1])
+        assert (code, out) == (2, "")
+        assert err == "error: --instances and --aafs must not be negative\n"
+
+    def test_solve_needs_a_principle(self, run, tmp_path, eldercare_path):
+        path = _variant(tmp_path, eldercare_path, lambda data: data.pop("principle"))
+        code, out, err = run("solve", path, "S1")
+        assert (code, out) == (2, "")
+        assert err == "error: agent declares no principle; practical reasoning is unavailable\n"
 
     def test_oracle_check_has_no_format_option(self, run):
         code, _, _ = run("oracle-check", "--instances", "1", "--aafs", "1", "--format", "json")

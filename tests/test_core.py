@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -13,6 +14,7 @@ from vdarg import (
     ActionMatrix,
     Disjunct,
     DutyVector,
+    Literal,
     Principle,
     SchemaError,
     SelfComparisonError,
@@ -28,8 +30,10 @@ from vdarg import (
     solution_report,
     solutions,
     strictly_prefers,
+    validate_agent,
     weak_preference_pairs,
 )
+from vdarg.core import ordered_literals
 
 DUTIES = ("MHC", "MMR", "mH2P", "MG2P", "mNI", "MRA", "MPPI")
 
@@ -383,11 +387,52 @@ class TestValidation:
         with pytest.raises(SchemaError):
             Principle(())
 
+    def test_ordered_literals_project_onto_the_atoms(self):
+        # Positives first, then negatives, each in atom order; a literal on an unlisted atom is dropped.
+        literals = {Literal("q", False), Literal("p"), Literal("extra"), Literal("r", False)}
+        expected = (Literal("p"), Literal("r", False), Literal("q", False))
+        assert ordered_literals(literals, ("r", "q", "p")) == expected
+        situation = Situation.from_perceptions(("p", "q", "extra"), ("q",))
+        assert situation.ordered(("p", "q")) == (Literal("q"), Literal("p", False))
+
     def test_situation_totality(self):
         situation = Situation.from_perceptions(("p", "q"), ("p",))
         assert situation.positives == frozenset({"p"})
         with pytest.raises(SchemaError):
             Situation.from_perceptions(("p",), ("zzz",))
+
+
+class TestValidateCodeBuiltAgents:
+    """Checks that a loaded file cannot reach: the loader builds each vector
+    and disjunct from a row in declared duty order."""
+
+    @staticmethod
+    def _with_s1_vector(agent, action, vector):
+        matrix = ActionMatrix("S1", {**agent.matrices["S1"].vectors, action: vector})
+        return replace(agent, matrices={**agent.matrices, "S1": matrix})
+
+    def test_vector_keyed_under_another_action(self, eldercare):
+        charge = eldercare.matrices["S1"].vector("charge")
+        agent = self._with_s1_vector(eldercare, "warn", charge)
+        with pytest.raises(SchemaError, match=r"^matrix 'S1': vector keyed 'warn' names 'charge'$"):
+            validate_agent(agent)
+
+    def test_vector_duty_list_mismatch(self, eldercare):
+        values = eldercare.matrices["S1"].vector("warn").values
+        agent = self._with_s1_vector(eldercare, "warn", DutyVector("warn", dict(reversed(values.items()))))
+        with pytest.raises(SchemaError, match=r"^matrix 'S1', action 'warn': duty list mismatch$"):
+            validate_agent(agent)
+
+    def test_disjunct_duty_list_mismatch(self, eldercare):
+        first, *rest = eldercare.principle
+        short = Disjunct(first.id, dict(list(first.bounds.items())[:-1]))
+        with pytest.raises(SchemaError, match=r"^disjunct 'u1': duty list mismatch$"):
+            validate_agent(replace(eldercare, principle=Principle((short, *rest))))
+
+    def test_epistemic_spec_missing_a_language_atom(self, eldercare):
+        spec = replace(eldercare.epistemic, atoms=eldercare.epistemic.atoms[:-1])
+        with pytest.raises(SchemaError, match=r"^epistemic spec must cover all language atoms$"):
+            validate_agent(replace(eldercare, epistemic=spec))
 
 
 def _reference_strict_graph(actions, weak):

@@ -17,6 +17,7 @@ from vdarg import (
     IndeterminateSituationError,
     Literal,
     Principle,
+    ResourceCapError,
     SchemaError,
     Situation,
     UnknownNameError,
@@ -227,6 +228,14 @@ class TestPracticalGeneration:
     def test_missing_matrix(self, eldercare):
         with pytest.raises(UnknownNameError):
             practical_framework(eldercare, "S2")
+
+    def test_argument_cap_is_checked_at_compile_time(self, eldercare, monkeypatch):
+        monkeypatch.setattr("vdarg.frameworks.DEFAULT_MAX_ARGUMENTS", 10)
+        assert len(practical_framework(eldercare, "S1").arguments) == 10
+        monkeypatch.setattr("vdarg.frameworks.DEFAULT_MAX_ARGUMENTS", 9)
+        with pytest.raises(ResourceCapError) as info:
+            practical_framework(eldercare, "S1")
+        assert (info.value.cap, info.value.limit) == ("max_arguments", 9)
 
 
 class TestPracticalPipeline:
