@@ -28,8 +28,10 @@ built from the proof when first read.
 
 An argument attacks another when its conclusion is the contrary of an
 assumption in the other's support, so its attackers depend only on which of
-its support's contraries some argument concludes; ``compute_attacks`` builds
-one attacker tuple per distinct set of those and shares it.  ``Aaf`` maps
+its support's contraries some argument concludes; ``compute_attacks`` keys
+each argument by the assumptions of its support with a concluded contrary,
+builds one attacker tuple per distinct set of those contraries and shares
+it, and stops past DEFAULT_MAX_ATTACKS attacker entries.  ``Aaf`` maps
 each argument, in argument order, to its attackers and derives the set of
 attack pairs from them.  Only flat frameworks are supported: no assumption
 may head a rule.
@@ -40,12 +42,13 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, product
+from itertools import chain, compress, islice, product
 
 from .errors import FlatnessError, ResourceCapError, SchemaError, TotalityError
 
 DEFAULT_MAX_DEPTH = 64
 DEFAULT_MAX_ARGUMENTS = 100_000
+DEFAULT_MAX_ATTACKS = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -129,7 +132,7 @@ def _tree(proof: _Proof) -> TreeNode:
     return TreeNode(sentence, rule_id, tuple(map(_tree, children)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Argument:
     """{premises} ⊢ conclusion, deduced by proof.  The rule set and the
     TreeNode tree are built from the proof when first read."""
@@ -139,6 +142,16 @@ class Argument:
     support: frozenset[str]   # assumption leaves; attacks target these
     premises: frozenset[str]  # support plus axiom leaves, as displayed
     proof: _Proof
+
+    def __init__(self, id: str, conclusion: str, support: frozenset[str], premises: frozenset[str], proof: _Proof):
+        # Written into the instance dict, as a frozen dataclass cannot set its
+        # fields through __setattr__: one store per field, no call.
+        fields = self.__dict__
+        fields["id"] = id
+        fields["conclusion"] = conclusion
+        fields["support"] = support
+        fields["premises"] = premises
+        fields["proof"] = proof
 
     @cached_property
     def tree(self) -> TreeNode:
@@ -155,14 +168,13 @@ class Argument:
         return frozenset(found)
 
 
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _names(mask: int, names: Sequence[str]) -> frozenset[str]:
-    """The names at the set bits of mask: bit i stands for names[i]."""
-    found = []
-    while mask:
-        low = mask & -mask
-        found.append(names[low.bit_length() - 1])
-        mask ^= low
-    return frozenset(found)
+    """The names at the set bits of mask: bit i stands for names[i].  The
+    binary digits, lowest first, become the bytes 0 / 1 that select names."""
+    return frozenset(compress(names, bin(mask)[:1:-1].encode().translate(_BITS)))
 
 
 def _combine(rule: Rule, rule_bit: int, child_options: list[list[_Proof]]) -> Iterator[_Proof]:
@@ -174,6 +186,66 @@ def _combine(rule: Rule, rule_bit: int, child_options: list[list[_Proof]]) -> It
             leaf_mask |= part[3]
             rule_mask |= part[4]
         yield head, rule_id, parts, leaf_mask, rule_mask
+
+
+class _Search:
+    """One derivation's proof search.  Its methods call each other through
+    the instance, so no closure cycle keeps the memo of sub-proofs alive
+    once the derivation returns."""
+
+    def __init__(self, framework: AbaFramework, leaves: Sequence[str], max_depth: int, max_arguments: int):
+        self.framework = framework
+        self.max_depth = max_depth
+        self.max_arguments = max_arguments
+        self.leaf_proofs = {s: [(s, None, (), 1 << i, 0)] for i, s in enumerate(leaves)}
+        self.memo: dict[str, tuple[list[_Proof], int]] = {}  # sentence -> (proofs, call height)
+
+    def proofs_for(self, sentence: str, path: frozenset[str], depth: int) -> tuple[list[_Proof], int, bool]:
+        """The sentence's proofs, the height of the calls below this one, and
+        whether the proofs depend on the branch: the cycle guard skipped a rule
+        below, or a leaf below is an axiom that heads a rule."""
+        framework, max_depth, max_arguments = self.framework, self.max_depth, self.max_arguments
+        if sentence in self.memo:
+            proofs, height = self.memo[sentence]
+            if depth + height > max_depth:
+                raise ResourceCapError("max_depth", max_depth)
+            return proofs, height, False
+        if depth > max_depth:
+            raise ResourceCapError("max_depth", max_depth)
+        if sentence in framework.assumption_set:
+            return self.leaf_proofs[sentence], 0, False
+        if sentence in framework.axioms:
+            # An axiom that heads a rule is on the branch of that rule at the
+            # top level, where the guard skips every rule naming it.
+            return self.leaf_proofs[sentence], 0, sentence in framework.rules_by_head
+        out: list[_Proof] = []
+        height, guarded = 0, False
+        for i, rule in framework.rules_by_head.get(sentence, ()):
+            if any(b in path for b in rule.body):
+                guarded = True  # cycle guard: a branch never repeats a sentence
+                continue
+            child_options, rule_height, rule_guarded = self.children(rule, path, depth)
+            # Filled one at a time, so max_arguments bounds each sentence's list.
+            out.extend(islice(_combine(rule, 1 << i, child_options), max_arguments + 1 - len(out)))
+            if len(out) > max_arguments:
+                raise ResourceCapError("max_arguments", max_arguments)
+            height = max(height, rule_height)
+            guarded = guarded or rule_guarded
+        if not guarded:
+            self.memo[sentence] = (out, height)
+        return out, height, guarded
+
+    def children(self, rule: Rule, path: frozenset[str], depth: int) -> tuple[list[list[_Proof]], int, bool]:
+        """Each body sentence's proofs below depth, the height of the calls
+        below the rule, and whether any of the proofs depend on the branch."""
+        options: list[list[_Proof]] = []
+        height, guarded = 0, False
+        for b in rule.body:
+            proofs, child_height, child_guarded = self.proofs_for(b, path | {b}, depth + 1)
+            options.append(proofs)
+            height = max(height, child_height + 1)
+            guarded = guarded or child_guarded
+        return options, height, guarded
 
 
 def derive_arguments(
@@ -197,60 +269,15 @@ def derive_arguments(
     validate_framework(framework)
     keep = None if keep_conclusions is None else frozenset(keep_conclusions)
     leaves = framework.assumptions + tuple(sorted(framework.axioms))
-    leaf_proofs = {s: [(s, None, (), 1 << i, 0)] for i, s in enumerate(leaves)}
-    memo: dict[str, tuple[list[_Proof], int]] = {}  # sentence -> (proofs, call height)
-
-    def proofs_for(sentence: str, path: frozenset[str], depth: int) -> tuple[list[_Proof], int, bool]:
-        """The sentence's proofs, the height of the calls below this one, and
-        whether the proofs depend on the branch: the cycle guard skipped a rule
-        below, or a leaf below is an axiom that heads a rule."""
-        if sentence in memo:
-            proofs, height = memo[sentence]
-            if depth + height > max_depth:
-                raise ResourceCapError("max_depth", max_depth)
-            return proofs, height, False
-        if depth > max_depth:
-            raise ResourceCapError("max_depth", max_depth)
-        if sentence in framework.assumption_set:
-            return leaf_proofs[sentence], 0, False
-        if sentence in framework.axioms:
-            # An axiom that heads a rule is on the branch of that rule at the
-            # top level, where the guard skips every rule naming it.
-            return leaf_proofs[sentence], 0, sentence in framework.rules_by_head
-        out: list[_Proof] = []
-        height, guarded = 0, False
-        for i, rule in framework.rules_by_head.get(sentence, ()):
-            if any(b in path for b in rule.body):
-                guarded = True  # cycle guard: a branch never repeats a sentence
-                continue
-            child_options, rule_height, rule_guarded = _children(rule, path, depth)
-            # Filled one at a time, so max_arguments bounds each sentence's list.
-            out.extend(islice(_combine(rule, 1 << i, child_options), max_arguments + 1 - len(out)))
-            if len(out) > max_arguments:
-                raise ResourceCapError("max_arguments", max_arguments)
-            height = max(height, rule_height)
-            guarded = guarded or rule_guarded
-        if not guarded:
-            memo[sentence] = (out, height)
-        return out, height, guarded
-
-    def _children(rule: Rule, path: frozenset[str], depth: int) -> tuple[list[list[_Proof]], int, bool]:
-        options: list[list[_Proof]] = []
-        height, guarded = 0, False
-        for b in rule.body:
-            proofs, child_height, child_guarded = proofs_for(b, path | {b}, depth + 1)
-            options.append(proofs)
-            height = max(height, child_height + 1)
-            guarded = guarded or child_guarded
-        return options, height, guarded
+    search = _Search(framework, leaves, max_depth, max_arguments)
 
     def top_level() -> Iterator[_Proof]:
         for a in framework.assumptions:
             if keep is None or a in keep:
-                yield leaf_proofs[a][0]
+                yield search.leaf_proofs[a][0]
         for i, rule in enumerate(framework.rules):
             if keep is None or rule.head in keep:
-                yield from _combine(rule, 1 << i, _children(rule, frozenset({rule.head}), 1)[0])
+                yield from _combine(rule, 1 << i, search.children(rule, frozenset({rule.head}), 1)[0])
 
     collected: dict[tuple[str, int, int], _Proof] = {}  # (conclusion, leaves, rules) -> proof
     for proof in top_level():  # one at a time, so max_arguments bounds the work
@@ -278,30 +305,47 @@ def compute_attacks(
     """Each argument's attackers, in argument order: X attacks Y iff X's
     conclusion is the contrary of an assumption in Y's support.
 
-    The attackers depend only on which of the support's contraries some
-    argument concludes, so the arguments with the same such contraries share
-    one attacker tuple."""
+    The attackers depend only on the support's assumptions whose contrary
+    some argument concludes, so they are keyed by that part of the support;
+    keys with the same such contraries share one attacker tuple.  Past
+    DEFAULT_MAX_ATTACKS attacker entries in all, it raises ResourceCapError."""
     positions: dict[str, list[int]] = {}  # conclusion -> positions of the arguments concluding it
     for i, arg in enumerate(arguments):
         positions.setdefault(arg.conclusion, []).append(i)
-    concluded = frozenset(positions)
-    contrary = framework.contraries.__getitem__
-    has_contrary = frozenset(framework.contraries)
-    shared: dict[frozenset[str], tuple[str, ...]] = {}
+    contraries = framework.contraries
+    has_contrary = frozenset(contraries)
+    hit = frozenset(a for a, c in contraries.items() if c in positions)
+    by_key: dict[frozenset[str], tuple[str, ...]] = {}  # support & hit -> attackers
+    shared: dict[frozenset[str], tuple[str, ...]] = {}  # concluded contraries -> attackers
     attackers: dict[str, tuple[str, ...]] = {}
+    total, limit = 0, DEFAULT_MAX_ATTACKS
     for arg in arguments:
-        # Checked first: the intersection stops reading once it holds all of concluded.
-        if not has_contrary.issuperset(arg.support):
-            missing = next(s for s in arg.support if s not in has_contrary)
+        support = arg.support
+        # Checked first: an assumption without a contrary is never in hit.
+        if not has_contrary.issuperset(support):
+            missing = next(s for s in support if s not in has_contrary)
             raise SchemaError(f"argument {arg.id!r}: {missing!r} is not an assumption")
-        key = concluded.intersection(map(contrary, arg.support))
-        found = shared.get(key)
+        key = support & hit
+        found = by_key.get(key)
         if found is None:
-            # Distinct contraries, so an attacker is listed once; sorted positions keep argument order.
-            found_at = sorted(chain.from_iterable(positions[c] for c in key))
-            found = shared[key] = tuple(arguments[i].id for i in found_at)
+            concluded = frozenset(contraries[a] for a in key)
+            found = shared.get(concluded)
+            if found is None:
+                # Distinct contraries, so an attacker is listed once; sorted positions keep argument order.
+                found_at = sorted(chain.from_iterable(positions[c] for c in concluded))
+                found = shared[concluded] = tuple(arguments[i].id for i in found_at)
+            by_key[key] = found
         attackers[arg.id] = found
+        total += len(found)
+        if total > limit:
+            raise ResourceCapError("max_attacks", limit)
     return attackers
+
+
+def union_of(tuples: Iterable[tuple[str, ...]]) -> set[str]:
+    """The union of the tuples, reading each distinct tuple object once:
+    attacker tuples are shared, and one may be listed many times."""
+    return set().union(*{id(t): t for t in tuples}.values())
 
 
 @dataclass(frozen=True)
@@ -318,7 +362,7 @@ class Aaf:
             raise SchemaError("duplicate argument ids")
         if tuple(self.attackers_of) != self.ids:
             raise SchemaError("the attackers must be listed for exactly the argument ids, in argument order")
-        unknown = set().union(*self.attackers_of.values()) - ids
+        unknown = union_of(self.attackers_of.values()) - ids
         if unknown:
             raise SchemaError(f"attackers {sorted(unknown)} are unknown arguments")
 

@@ -19,7 +19,7 @@ from .frameworks import EpistemicResult, PracticalResult
 _ValuePairs = tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AttackerCitation:
     argument_id: str
     conclusion: str
@@ -31,6 +31,32 @@ class AttackerCitation:
     source_action: str | None = None
     source_vector: _ValuePairs | None = None
     target_vector: _ValuePairs | None = None
+
+    def __init__(
+        self,
+        argument_id: str,
+        conclusion: str,
+        premises: tuple[str, ...],
+        extensions: tuple[str, ...],
+        counter_attackers: tuple[str, ...],
+        disjunct: str | None = None,
+        disjunct_bounds: _ValuePairs | None = None,
+        source_action: str | None = None,
+        source_vector: _ValuePairs | None = None,
+        target_vector: _ValuePairs | None = None,
+    ):
+        # One store per field into the instance dict, as aba.Argument does.
+        fields = self.__dict__
+        fields["argument_id"] = argument_id
+        fields["conclusion"] = conclusion
+        fields["premises"] = premises
+        fields["extensions"] = extensions
+        fields["counter_attackers"] = counter_attackers
+        fields["disjunct"] = disjunct
+        fields["disjunct_bounds"] = disjunct_bounds
+        fields["source_action"] = source_action
+        fields["source_vector"] = source_vector
+        fields["target_vector"] = target_vector
 
 
 @dataclass(frozen=True)
@@ -71,7 +97,7 @@ def explain_action(result: PracticalResult, action: str) -> Explanation:
             conclusion=conclusion,
             premises=premises,
             extensions=extensions,
-            counter_attackers=tuple(c for c in attackers_of[source] if report.statuses[c].in_some),
+            counter_attackers=result.counter_attackers[source],
             disjunct=disjunct,
             disjunct_bounds=tuple(principle.by_id(disjunct).bounds.items()),
             source_action=source,
@@ -141,16 +167,23 @@ def explain_situation(result: EpistemicResult) -> tuple[Explanation, ...]:
         return ()
     assert aaf is not None
     order = result.build.display_order if result.build else {}
+    by_id, attackers_of = aaf.by_id, aaf.attackers_of
+    # Arguments that hold one attacker tuple are in one class, so they share
+    # their extensions and, within a verdict, their counter-attackers.  Keyed
+    # by the tuple's identity, for this call only: aaf keeps every tuple alive.
+    labels_of: dict[int, tuple[str, ...]] = {}
 
-    def cite(att_id: str, defenders: frozenset[str]) -> AttackerCitation:
-        att = aaf.by_id[att_id]
-        return AttackerCitation(
-            argument_id=att_id,
-            conclusion=att.conclusion,
-            premises=tuple(ordered_premises(att.premises, order)),
-            extensions=report.extension_labels_containing(att_id),
-            counter_attackers=tuple(d for d in aaf.attackers_of[att_id] if d in defenders),
-        )
+    def cite(att_id: str, defenders: frozenset[str], counters_of: dict[int, tuple[str, ...]]) -> AttackerCitation:
+        att = by_id[att_id]
+        attackers = attackers_of[att_id]
+        key = id(attackers)
+        labels = labels_of.get(key)
+        if labels is None:
+            labels = labels_of[key] = report.extension_labels_containing(att_id)
+        counters = counters_of.get(key)
+        if counters is None:
+            counters = counters_of[key] = tuple(d for d in attackers if d in defenders)
+        return AttackerCitation(att_id, att.conclusion, tuple(ordered_premises(att.premises, order)), labels, counters)
 
     out: list[Explanation] = []
     for verdict in result.verdicts:
@@ -165,12 +198,13 @@ def explain_situation(result: EpistemicResult) -> tuple[Explanation, ...]:
             attacker_ids.remove(verdict.rejecting_attacker)
             attacker_ids.insert(0, verdict.rejecting_attacker)
         defenders = frozenset(verdict.defenders)
+        counters_of: dict[int, tuple[str, ...]] = {}
         expl = Explanation(
             subject=str(verdict.literal), kind="assumption", verdict=mapped,
             argument_id=verdict.argument_id,
             premises=(str(verdict.literal),),
             extensions=report.extension_labels_containing(verdict.argument_id),
-            attackers=tuple(cite(a, defenders) for a in attacker_ids),
+            attackers=tuple(cite(a, defenders, counters_of) for a in attacker_ids),
             defenders=verdict.defenders,
             semantics=result.semantics,
         )

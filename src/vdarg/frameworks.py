@@ -43,7 +43,7 @@ from functools import cached_property
 from itertools import count
 
 from . import core
-from .aba import DEFAULT_MAX_ARGUMENTS, AbaFramework, Aaf, Rule, compute_attacks, derive_arguments
+from .aba import DEFAULT_MAX_ARGUMENTS, AbaFramework, Aaf, Rule, compute_attacks, derive_arguments, union_of
 from .core import (
     EpistemicSpec,
     Literal,
@@ -196,6 +196,16 @@ class PracticalResult:
         build's rows write out."""
         return argument_graph(self.build.framework, "X", self.build.relevant)
 
+    @cached_property
+    def counter_attackers(self) -> Mapping[str, tuple[str, ...]]:
+        """Each qualifying action's attackers that are in some extension, in
+        argument order: the accepted arguments that strike back for it."""
+        statuses = self.report.statuses
+        return {
+            action: tuple(a for a in attackers if statuses[a].in_some)
+            for action, attackers in self.build.attackers_of.items()
+        }
+
 
 def argument_graph(framework: AbaFramework, label: str, relevant: Iterable[str]) -> Aaf:
     """The arguments concluding a relevant sentence, numbered with label, and
@@ -312,7 +322,7 @@ def adjudicate(
         arg_id = argument.id
         status = report.statuses[arg_id]
         atts = aaf.attackers_of[arg_id]
-        counter_attackers = set().union(*map(aaf.attackers_of.__getitem__, atts))
+        counter_attackers = union_of(map(aaf.attackers_of.__getitem__, atts))
         defenders = tuple(sorted(
             (d for d in counter_attackers if report.statuses[d].in_all), key=aaf.index.__getitem__
         ))

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, asdict, dataclass, fields, replace
 from itertools import product
 
 import pytest
@@ -719,3 +720,90 @@ def test_wide_masks_match_the_reference_derivation(seed):
     assert any(premises & {"a16", "a17", "a18", "a19"} and premises != support
                for _, _, support, premises, _, _ in got)
     assert max(int(r[1:]) for _, _, _, _, rules_used, _ in got for r in rules_used) >= 300
+
+
+def chain_framework(length: int) -> AbaFramework:
+    """A rule chain c0 -> c1 -> ... -> c<length> like the benchmark's chains:
+    link i derives c<i> from c<i-1> with assumption a<i> or b<i>, so c<k> has
+    2^k proofs, built on the shared proofs of c<k-1>.  The contraries of p
+    and q hang off the last two links, and c2 concludes the contrary of b4."""
+    links = range(1, length + 1)
+    assumptions = tuple(f"{x}{i}" for i in links for x in "ab") + ("p", "q")
+    contraries = {a: f"not-{a}" for a in assumptions}
+    rules = [Rule("f1", "c0")]
+    rules += [Rule(f"r{x}{i}", f"c{i}", (f"c{i - 1}", f"{x}{i}")) for i in links for x in "ab"]
+    rules += [
+        Rule("rp", "not-p", (f"c{length}",)),
+        Rule("rq", "not-q", (f"c{length - 1}",)),
+        Rule("rb", "not-b4", ("c2",)),
+    ]
+    return AbaFramework(
+        language=frozenset(assumptions) | frozenset(contraries.values()) | {f"c{i}" for i in range(length + 1)},
+        rules=tuple(rules),
+        assumptions=assumptions,
+        contraries=contraries,
+    )
+
+
+def test_derivation_leaves_nothing_for_the_cyclic_collector():
+    # The memo of sub-proofs is freed by reference counting when the
+    # derivation returns, not left in a reference cycle.
+    fw = chain_framework(8)
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(derive_arguments(fw)) > 2**8
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_arguments_are_frozen_records():
+    proof = ("p", "r1", (("a", None, (), 1, 0),), 1, 1)
+    arg = aba.Argument("A1", "p", frozenset({"a"}), frozenset({"a", "u"}), proof)
+    assert [f.name for f in fields(arg)] == ["id", "conclusion", "support", "premises", "proof"]
+    for name in ("id", "conclusion", "support", "premises", "proof", "tree"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(arg, name, None)
+    assert asdict(arg) == {
+        "id": "A1", "conclusion": "p", "support": frozenset({"a"}), "premises": frozenset({"a", "u"}), "proof": proof,
+    }
+    assert repr(arg) == (
+        "Argument(id='A1', conclusion='p', support=frozenset({'a'}), premises="
+        f"{frozenset({'a', 'u'})!r}, proof={proof!r})"
+    )
+    same = aba.Argument(id="A1", conclusion="p", support=frozenset({"a"}), premises=frozenset({"a", "u"}), proof=proof)
+    assert arg == same and hash(arg) == hash(same)
+    assert arg != replace(arg, id="A2")
+    assert replace(arg, id="A2").id == "A2"
+    assert arg.tree == TreeNode("p", "r1", (TreeNode("a"),))
+    assert arg == same  # the cached tree is not a field
+
+
+def test_assumptions_with_one_contrary_share_one_attacker_tuple():
+    # {a} and {b} are different keys with one concluded contrary, n.
+    fw = AbaFramework(
+        language=frozenset({"a", "b", "c", "n", "nc", "p"}),
+        rules=(Rule("r1", "p", ("a", "b")), Rule("r2", "n")),
+        assumptions=("a", "b", "c"),
+        contraries={"a": "n", "b": "n", "c": "nc"},
+    )
+    args = derive_arguments(fw)
+    supports = {a.id: sorted(a.support) for a in args}
+    assert supports == {"A1": ["a"], "A2": ["b"], "A3": ["c"], "A4": ["a", "b"], "A5": []}
+    attacks = compute_attacks(args, fw)
+    assert attacks["A1"] == ("A5",)
+    assert attacks["A1"] is attacks["A2"] is attacks["A4"]
+    assert attacks["A3"] is attacks["A5"]
+
+
+def test_max_attacks_caps_the_attacker_entries(monkeypatch):
+    fw = nixon_framework()
+    args = derive_arguments(fw)
+    total = sum(map(len, compute_attacks(args, fw).values()))
+    monkeypatch.setattr(aba, "DEFAULT_MAX_ATTACKS", total)
+    assert sum(map(len, compute_attacks(args, fw).values())) == total
+    monkeypatch.setattr(aba, "DEFAULT_MAX_ATTACKS", total - 1)
+    with pytest.raises(ResourceCapError) as err:
+        compute_attacks(args, fw)
+    assert (err.value.cap, err.value.limit) == ("max_attacks", total - 1)

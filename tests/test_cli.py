@@ -162,6 +162,13 @@ class TestJustify:
         assert (code, out) == (2, "")
         assert err == "error: --dot and --format json cannot be combined\n"
 
+    def test_attack_cap_stops_before_printing(self, run, eldercare_path, monkeypatch):
+        # Eldercare S1's argument graph has more than one attack.
+        monkeypatch.setattr("vdarg.aba.DEFAULT_MAX_ATTACKS", 1)
+        code, out, err = run("justify", str(eldercare_path), "S1")
+        assert (code, out) == (2, "")
+        assert err == "error: resource cap exceeded: max_attacks (limit 1)\n"
+
 
 class TestExplain:
     def test_charge_rejection(self, run, eldercare_path):

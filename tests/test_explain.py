@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError, asdict, fields, replace
+
 import pytest
 
 from vdarg import (
     ActionMatrix,
+    AttackerCitation,
     Disjunct,
     DutyVector,
     EpistemicRule,
@@ -125,6 +128,63 @@ class TestSituationExplanations:
         explanations = explain_situation(result)
         assert [e.verdict for e in explanations] == ["indeterminate", "indeterminate"]
         assert all(e.attackers for e in explanations)
+
+
+def _chain_spec(length: int) -> EpistemicSpec:
+    """c0 -> ... -> c<length>, each link by a<i> or b<i>; c2 rejects b4, c<length>
+    rejects p, and m / ¬m attack each other."""
+    links = range(1, length + 1)
+    rules = [
+        EpistemicRule(f"r{x}{i}", Literal(f"c{i}"), (Literal(f"c{i - 1}"), Literal(f"{x}{i}")))
+        for i in links for x in "ab"
+    ]
+    rules += [
+        EpistemicRule("rb", Literal("b4", False), (Literal("c2"),)),
+        EpistemicRule("rp", Literal("p", False), (Literal(f"c{length}"),)),
+    ]
+    atoms = tuple(f"c{i}" for i in range(length + 1)) + tuple(f"{x}{i}" for i in links for x in "ab") + ("p", "m")
+    assumptions = tuple(Literal(f"{x}{i}") for i in links for x in "ab") + (Literal("p"), Literal("m"), Literal("m", False))
+    return EpistemicSpec(atoms, assumptions, tuple(rules))
+
+
+@pytest.mark.parametrize("semantics", ["grounded", "complete", "preferred"])
+def test_situation_citations_match_each_cited_argument(s2_result, semantics):
+    # Citations of arguments with one attacker tuple share their extension
+    # labels and, per verdict, their counter-attackers; each must still be
+    # the cited argument's own.
+    for result in (s2_result, analyze_epistemic(_chain_spec(5), ["c0"], semantics)):
+        report, aaf = result.report, result.aaf
+        cited = 0
+        for e in explain_situation(result):
+            for att in e.attackers:
+                cited += 1
+                assert att.extensions == report.extension_labels_containing(att.argument_id)
+                assert att.counter_attackers == tuple(
+                    d for d in aaf.attackers_of[att.argument_id] if d in e.defenders
+                )
+        assert cited > 0
+
+
+def test_attacker_citations_are_frozen_records():
+    values = dict(
+        argument_id="X3", conclusion="¬v(b)", premises=("u1", "v(a)"), extensions=("E1", "E2"),
+        counter_attackers=("X4",), disjunct="u1", disjunct_bounds=(("d1", 0),), source_action="a",
+        source_vector=(("d1", 1),), target_vector=(("d1", 0),),
+    )
+    citation = AttackerCitation(**values)
+    assert [f.name for f in fields(citation)] == list(values)
+    assert asdict(citation) == values
+    for name in values:
+        with pytest.raises(FrozenInstanceError):
+            setattr(citation, name, None)
+    assert repr(citation) == "AttackerCitation(" + ", ".join(f"{k}={v!r}" for k, v in values.items()) + ")"
+    assert citation == AttackerCitation(*values.values())
+    assert citation != replace(citation, extensions=("E1",))
+    bare = AttackerCitation("Y2", "¬a", ("b",), ("E1",), ())
+    assert asdict(bare) == dict(
+        argument_id="Y2", conclusion="¬a", premises=("b",), extensions=("E1",), counter_attackers=(),
+        disjunct=None, disjunct_bounds=None, source_action=None, source_vector=None, target_vector=None,
+    )
 
 
 def _two_action_result(rows, bounds, duty_names=None):
