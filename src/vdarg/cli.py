@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict
 
 from . import core
-from .aba import Aaf, Rule, argument_text, ordered_premises
+from .aba import Aaf, Rule, argument_text, compute_attacks, derive_arguments, ordered_premises
 from .agentfile import load_agent
 from .core import EpistemicSpec, Literal, ordered_literals, ordering_from_pairs
 from .errors import SchemaError, UnknownNameError, VdaError
@@ -28,6 +28,7 @@ from .frameworks import (
     analyze_epistemic,
     analyze_practical,
     epistemic_framework,
+    practical_framework,
 )
 from .oracle import (
     MAX_ORACLE_ARGUMENTS,
@@ -383,14 +384,19 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         agent, sid = random_vda(spec)
         if core.solutions(agent, sid) != brute_force_solutions(agent, sid):
             mismatches += 1
-        # The decision runs on the compiler's argument index; its extensions
-        # must be those of the derived argument graph, found by brute force.
+        # The decision runs on the compiler's argument index and its graph is written from the
+        # rows: both must agree with the derived graph, its extensions found by brute force.
+        build = practical_framework(agent, sid)
+        arguments = derive_arguments(build.framework, label="X", keep_conclusions=build.relevant)
+        derived = Aaf(arguments, compute_attacks(arguments, build.framework))
         for semantics in SEMANTICS:
             result = analyze_practical(agent, sid, semantics)
-            if len(result.aaf.arguments) > MAX_ORACLE_ARGUMENTS:
+            if result.aaf != derived:
+                mismatches += 1
+            if len(arguments) > MAX_ORACLE_ARGUMENTS:
                 break
             decided = {e.members for e in result.report.extensions}
-            if decided != brute_force_extensions(result.aaf, semantics):
+            if decided != brute_force_extensions(derived, semantics):
                 mismatches += 1
     for i in range(args.aafs):
         aaf = random_aaf(args.seed + i)

@@ -10,7 +10,8 @@ that actually differentiate the two actions.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .aba import argument_text, ordered_premises
 from .errors import SchemaError, UnknownNameError
@@ -59,7 +60,7 @@ class AttackerCitation:
         fields["target_vector"] = target_vector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Explanation:
     subject: str
     kind: str     # "action" | "assumption"
@@ -72,56 +73,65 @@ class Explanation:
     semantics: str
     text: str = ""
 
+    def __init__(
+        self, subject: str, kind: str, verdict: str, argument_id: str | None, premises: tuple[str, ...],
+        extensions: tuple[str, ...], attackers: tuple[AttackerCitation, ...], defenders: tuple[str, ...],
+        semantics: str, text: str = "",
+    ):
+        # One store per field into the instance dict, as aba.Argument does.
+        fields = self.__dict__
+        fields["subject"] = subject
+        fields["kind"] = kind
+        fields["verdict"] = verdict
+        fields["argument_id"] = argument_id
+        fields["premises"] = premises
+        fields["extensions"] = extensions
+        fields["attackers"] = attackers
+        fields["defenders"] = defenders
+        fields["semantics"] = semantics
+        fields["text"] = text
+
+
+def _explained(duty_names: Mapping[str, str] | None, **fields) -> Explanation:
+    """The explanation of the fields, built once, with its text rendered from a draft of them."""
+    return Explanation(**fields, text=render_text(SimpleNamespace(**fields), duty_names))
+
 
 def explain_action(result: PracticalResult, action: str) -> Explanation:
     """Explain one action from the decision over the compiler's argument
     index, by argument id: each argument's row names its source and
-    disjunct, and ``build.sentences`` writes out its conclusion and
-    premises, so neither the framework nor the argument graph is built."""
+    disjunct, ``build.sentences`` writes out its conclusion and premises,
+    and ``result.value_table`` holds the value pairs it cites, so neither
+    the framework nor the argument graph is built."""
     build = result.build
-    agent = build.agent
-    if action not in agent.language.actions:
+    disjuncts, vectors, duty_names = result.value_table
+    if action not in vectors:
         raise UnknownNameError(f"unknown action {action!r}")
-    duty_names = {d: d for d in agent.language.duties} | dict(agent.duty_names)
-
-    matrix = agent.matrix_for(build.situation_id)
-    principle = agent.require_principle()
     report, arguments, attackers_of = result.report, build.arguments, build.attackers_of
+    target_vector = vectors[action]
 
     def citation(att_id: str, extensions: tuple[str, ...]) -> AttackerCitation:
         row = arguments[att_id]
         source, _, disjunct = row
         conclusion, premises = build.sentences(row)
         return AttackerCitation(
-            argument_id=att_id,
-            conclusion=conclusion,
-            premises=premises,
-            extensions=extensions,
-            counter_attackers=result.counter_attackers[source],
-            disjunct=disjunct,
-            disjunct_bounds=tuple(principle.by_id(disjunct).bounds.items()),
-            source_action=source,
-            source_vector=tuple(matrix.vector(source).values.items()),
-            target_vector=tuple(matrix.vector(action).values.items()),
+            att_id, conclusion, premises, extensions, result.counter_attackers[source],
+            disjunct, disjuncts[disjunct][1], source, vectors[source], target_vector,
         )
 
     def rank(att_id: str) -> tuple[int, str]:
         source, _, disjunct = arguments[att_id]
-        return (principle.index_of(disjunct), source)
+        return (disjuncts[disjunct][0], source)
 
     def rejection(attackers: tuple[str, ...]) -> tuple[AttackerCitation, ...] | None:
         # Per extension, the best-ranked accepted attacker; None if one accepts none.
-        chosen: dict[str, AttackerCitation] = {}
+        labels: dict[str, list[str]] = {}
         for label, ext in report.labelled():
             accepted = [a for a in attackers if a in ext.members]
             if not accepted:
                 return None
-            best = min(accepted, key=rank)
-            if best in chosen:
-                chosen[best] = replace(chosen[best], extensions=chosen[best].extensions + (label,))
-            else:
-                chosen[best] = citation(best, (label,))
-        return tuple(chosen.values()) or None
+            labels.setdefault(min(accepted, key=rank), []).append(label)
+        return tuple(citation(a, tuple(ls)) for a, ls in labels.items()) or None
 
     arg_id = result.action_argument.get(action)
     premises = extensions = attackers = defenders = ()
@@ -148,12 +158,11 @@ def explain_action(result: PracticalResult, action: str) -> Explanation:
                     {c for att in attackers for c in att.counter_attackers},
                     key=build.argument_index.__getitem__,
                 ))
-    expl = Explanation(
-        subject=action, kind="action", verdict=verdict, argument_id=arg_id,
+    return _explained(
+        duty_names, subject=action, kind="action", verdict=verdict, argument_id=arg_id,
         premises=premises, extensions=extensions, attackers=attackers,
         defenders=defenders, semantics=result.semantics,
     )
-    return replace(expl, text=render_text(expl, duty_names))
 
 
 def explain_all_actions(result: PracticalResult) -> tuple[Explanation, ...]:
@@ -199,16 +208,15 @@ def explain_situation(result: EpistemicResult) -> tuple[Explanation, ...]:
             attacker_ids.insert(0, verdict.rejecting_attacker)
         defenders = frozenset(verdict.defenders)
         counters_of: dict[int, tuple[str, ...]] = {}
-        expl = Explanation(
-            subject=str(verdict.literal), kind="assumption", verdict=mapped,
+        out.append(_explained(
+            None, subject=str(verdict.literal), kind="assumption", verdict=mapped,
             argument_id=verdict.argument_id,
             premises=(str(verdict.literal),),
             extensions=report.extension_labels_containing(verdict.argument_id),
             attackers=tuple(cite(a, defenders, counters_of) for a in attacker_ids),
             defenders=verdict.defenders,
             semantics=result.semantics,
-        )
-        out.append(replace(expl, text=render_text(expl, None)))
+        ))
     return tuple(out)
 
 

@@ -22,15 +22,15 @@ support (flat ABA: Bondarenko, Dung, Kowalski & Toni 1997; Toni 2014): the
 arguments of one action share their attackers, so the semantics decides
 them as one class with one status record.  ``PracticalBuild.sentences``
 writes a row out as a rule's head and body, and the ABA framework is built
-from the rows only when ``PracticalBuild.framework`` is first read.
-``argument_graph`` is the one place that derives arguments and their
-attacks; a practical graph is built only when a caller reads
-``PracticalResult.aaf``, as the commands that print rules and arguments do.
+from the rows only when ``PracticalBuild.framework`` is first read.  So is
+the argument graph, with no derivation, when ``PracticalResult.aaf`` is read,
+as the commands that print rules and arguments do: each argument applies its
+row's rule to the leaf proofs of its body, as ``derive_arguments`` would.
 
 Epistemic reasoning: perception literals are sentences, designated literals
 are assumptions (contrary defaults to the complement), epistemic rules carry
 over, and true perceptions that are not assumptions become empty-body fact
-rules.  ``adjudicate`` builds the argument graph, decides it and gives each
+rules.  ``adjudicate`` derives the argument graph, decides it and gives each
 assumption its verdict, which every epistemic report reads: the justified
 perceptions and, when every assumption is settled, a justified situation.
 """
@@ -41,9 +41,10 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
+from typing import NamedTuple
 
-from . import core
-from .aba import DEFAULT_MAX_ARGUMENTS, AbaFramework, Aaf, Rule, compute_attacks, derive_arguments, union_of
+from . import aba, core
+from .aba import DEFAULT_MAX_ARGUMENTS, AbaFramework, Aaf, Argument, Rule, compute_attacks, derive_arguments, union_of
 from .core import (
     EpistemicSpec,
     Literal,
@@ -192,9 +193,33 @@ class PracticalResult:
 
     @cached_property
     def aaf(self) -> Aaf:
-        """The derived arguments and their attackers, over the framework the
-        build's rows write out."""
-        return argument_graph(self.build.framework, "X", self.build.relevant)
+        """The arguments and their attackers, written from the rows: each proof
+        is derive_arguments', its row's rule over the body's leaf proofs."""
+        build = self.build
+        attackers_of = {x: build.attackers_of[row[0]] for x, row in build.arguments.items()}
+        limit = aba.DEFAULT_MAX_ATTACKS  # compute_attacks' cap
+        if sum(map(len, attackers_of.values())) > limit:
+            raise ResourceCapError("max_attacks", limit)
+        leaves = [build.vector_of[a] for a in build.assumption_actions]
+        leaves += sorted(u.id for u in build.agent.require_principle())
+        leaf_proof = {s: (s, None, (), 1 << i, 0) for i, s in enumerate(leaves)}
+        sets: dict[int, tuple[frozenset[str], frozenset[str]]] = {}  # leaf mask -> (support, premises)
+        arguments = []
+        ids = iter(build.arguments)  # the rows whose source qualifies, in rule order
+        for k, row in enumerate(build.rows):
+            vector = leaf_proof.get(build.vector_of[row[0]])
+            if vector is None:  # the source does not qualify: the body is not derivable
+                continue
+            head, body = build.sentences(row)
+            children = tuple(map(leaf_proof.__getitem__, body))
+            mask = children[0][3] | vector[3]
+            found = sets.get(mask)
+            if found is None:
+                premises = frozenset(body)
+                # The action rules come first, so the vector's own sets exist by now.
+                found = sets[mask] = (premises if row[2] is None else sets[vector[3]][0], premises)
+            arguments.append(Argument(next(ids), head, *found, (head, f"r{k + 1}", children, mask, 1 << k)))
+        return Aaf(tuple(arguments), attackers_of)
 
     @cached_property
     def counter_attackers(self) -> Mapping[str, tuple[str, ...]]:
@@ -206,12 +231,22 @@ class PracticalResult:
             for action, attackers in self.build.attackers_of.items()
         }
 
+    @cached_property
+    def value_table(self) -> ValueTable:
+        """What explanations cite, built once per result."""
+        agent = self.build.agent
+        matrix = agent.matrix_for(self.build.situation_id)
+        return ValueTable(
+            {u.id: (i, tuple(u.bounds.items())) for i, u in enumerate(agent.require_principle())},
+            {a: tuple(matrix.vector(a).values.items()) for a in agent.language.actions},
+            {d: d for d in agent.language.duties} | dict(agent.duty_names),
+        )
 
-def argument_graph(framework: AbaFramework, label: str, relevant: Iterable[str]) -> Aaf:
-    """The arguments concluding a relevant sentence, numbered with label, and
-    their attackers."""
-    arguments = derive_arguments(framework, label=label, keep_conclusions=relevant)
-    return Aaf(arguments, compute_attacks(arguments, framework))
+
+class ValueTable(NamedTuple):
+    disjuncts: Mapping[str, tuple[int, tuple[tuple[str, int], ...]]]  # id -> (position, bound pairs)
+    vectors: Mapping[str, tuple[tuple[str, int], ...]]  # action -> its duty vector's value pairs
+    duty_names: Mapping[str, str]  # duty -> display name, the duty itself when unnamed
 
 
 def analyze_practical(agent: VdaAgent, situation_id: str, semantics: str = "grounded") -> PracticalResult:
@@ -312,7 +347,8 @@ def adjudicate(
 ) -> tuple[Aaf, AcceptanceReport, tuple[AssumptionVerdict, ...]]:
     """The argument graph, its acceptance report under one semantics, and
     each assumption's verdict in declaration order."""
-    aaf = argument_graph(build.framework, "Y", build.relevant)
+    arguments = derive_arguments(build.framework, label="Y", keep_conclusions=build.relevant)
+    aaf = Aaf(arguments, compute_attacks(arguments, build.framework))
     report = acceptance_status(aaf, semantics)
 
     # derive_arguments numbers the argument {a} |- a of each assumption a

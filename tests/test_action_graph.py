@@ -11,7 +11,9 @@ graph.
 
 from __future__ import annotations
 
+import runpy
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -237,6 +239,61 @@ def test_random_vda_agents_agree_with_the_argument_graph(seed):
         assert_agrees_with_reference(agent, sid, semantics)
 
 
+def wide_agent(seed: int, actions: int, slack: int) -> VdaAgent:
+    """The benchmark's wide agent, from bench/workloads.py."""
+    workloads = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench" / "workloads.py"))
+    return workloads["wide_agent"](seed, actions, slack)
+
+
+def assert_graph_is_the_derived_one(agent: VdaAgent, situation_id: str) -> None:
+    """result.aaf, written from the rows, against derive_arguments and
+    compute_attacks over the framework the rows write out."""
+    result = analyze_practical(agent, situation_id)
+    build = result.build
+    derived = derive_arguments(build.framework, label="X", keep_conclusions=build.relevant)
+    attackers = compute_attacks(derived, build.framework)
+    aaf = result.aaf
+    assert aaf.arguments == derived
+    for written, arg in zip(aaf.arguments, derived, strict=True):
+        assert (written.id, written.conclusion, written.proof) == (arg.id, arg.conclusion, arg.proof)
+        assert (written.support, written.premises) == (arg.support, arg.premises)
+        assert written.tree == arg.tree
+        assert written.rules_used == arg.rules_used
+    assert list(aaf.attackers_of.items()) == list(attackers.items())
+
+    def sharing(values):
+        """Each value's first position among the values of the same identity."""
+        first: dict[int, int] = {}
+        return [first.setdefault(id(v), i) for i, v in enumerate(values)]
+
+    # Arguments share an attacker tuple exactly where the derived ones do, and
+    # arguments with one leaf mask share their support and premise sets.
+    assert sharing(aaf.attackers_of.values()) == sharing(attackers.values())
+    sets = {(arg.proof[3], id(arg.support), id(arg.premises)) for arg in aaf.arguments}
+    assert len(sets) == len({mask for mask, _, _ in sets})
+
+
+@settings(max_examples=150, deadline=None)
+@given(agent=agents())
+def test_random_agents_get_the_derived_graph(agent):
+    assert_graph_is_the_derived_one(agent, "R")
+
+
+@pytest.mark.parametrize("agent, sid", [
+    (NON_QUALIFYING_SOURCE, "R"),
+    (NOTHING_QUALIFIES, "R"),
+    (ODD_CYCLE, "R"),
+    (wide_agent(0, 40, 2), "R"),
+], ids=["non-qualifying-source", "nothing-qualifies", "odd-cycle", "wide-40-dense"])
+def test_named_inputs_get_the_derived_graph(agent, sid):
+    assert_graph_is_the_derived_one(agent, sid)
+
+
+@pytest.mark.parametrize("sid", ["S1", "S2J"])
+def test_eldercare_gets_the_derived_graph(eldercare, sid):
+    assert_graph_is_the_derived_one(eldercare, sid)
+
+
 class TestDecisionBuildsNoArguments:
     """Deciding and explaining never derive arguments or list attacks; the
     argument graph is built when ``result.aaf`` is first read."""
@@ -260,7 +317,7 @@ class TestDecisionBuildsNoArguments:
         monkeypatch.undo()
         for result in results:
             assert "aaf" not in vars(result)
-            assert result.aaf.arguments  # built now, by the real functions
+            assert result.aaf.arguments  # built now, from the rows
             assert len(result.report.statuses) == len(result.aaf.arguments)
 
 

@@ -13,6 +13,7 @@ from vdarg import (
     DutyVector,
     EpistemicRule,
     EpistemicSpec,
+    Explanation,
     Literal,
     Principle,
     SchemaError,
@@ -27,6 +28,7 @@ from vdarg import (
     explain_situation,
     render_text,
 )
+from vdarg.oracle import RandomVdaSpec, random_vda
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +187,62 @@ def test_attacker_citations_are_frozen_records():
         argument_id="Y2", conclusion="¬a", premises=("b",), extensions=("E1",), counter_attackers=(),
         disjunct=None, disjunct_bounds=None, source_action=None, source_vector=None, target_vector=None,
     )
+
+
+def test_explanations_are_frozen_records(s1_result):
+    citation = explain_action(s1_result, "charge").attackers[0]
+    values = dict(
+        subject="charge", kind="action", verdict="rejected", argument_id="X2", premises=("v_S1(charge)",),
+        extensions=("E1",), attackers=(citation,), defenders=("X1",), semantics="grounded", text="Because.",
+    )
+    explanation = Explanation(**values)
+    assert [f.name for f in fields(explanation)] == list(values)
+    assert asdict(explanation) == values | {"attackers": (asdict(citation),)}
+    for name in values:
+        with pytest.raises(FrozenInstanceError):
+            setattr(explanation, name, None)
+    assert repr(explanation) == "Explanation(" + ", ".join(f"{k}={v!r}" for k, v in values.items()) + ")"
+    assert explanation == Explanation(*values.values())
+    assert explanation != replace(explanation, text="")
+    assert replace(explanation, text="") == Explanation(*list(values.values())[:-1])
+    assert Explanation(*list(values.values())[:-1]).text == ""
+
+
+def _practical_results(eldercare):
+    inputs = [(eldercare, "S1"), (eldercare, "S2J")]
+    inputs += [random_vda(RandomVdaSpec(seed=seed, actions=6, duties=3)) for seed in range(12)]
+    for agent, sid in inputs:
+        for semantics in ("grounded", "preferred"):
+            yield analyze_practical(agent, sid, semantics)
+
+
+def test_citations_of_one_result_share_their_value_pairs(eldercare):
+    # Each disjunct's bound pairs and each action's value pairs are built once
+    # per result, and every citation of that result holds the same objects.
+    reused = 0  # citations of a disjunct cited before in the same result
+    for result in _practical_results(eldercare):
+        bounds: dict[str, object] = {}
+        vectors: dict[str, object] = {}
+        for e in explain_all_actions(result):
+            for att in e.attackers:
+                reused += att.disjunct in bounds
+                assert bounds.setdefault(att.disjunct, att.disjunct_bounds) is att.disjunct_bounds
+                assert vectors.setdefault(att.source_action, att.source_vector) is att.source_vector
+                assert vectors.setdefault(e.subject, att.target_vector) is att.target_vector
+    assert reused > 100
+
+
+def test_explanations_read_no_disjunct_by_scanning_the_principle(eldercare, monkeypatch):
+    expected = [[e.text for e in explain_all_actions(result)] for result in _practical_results(eldercare)]
+
+    def refuse(self, disjunct_id):
+        raise AssertionError("explanations must not scan the principle")
+
+    monkeypatch.setattr(Principle, "by_id", refuse)
+    monkeypatch.setattr(Principle, "index_of", refuse)
+    found = [[e.text for e in explain_all_actions(result)] for result in _practical_results(eldercare)]
+    assert found == expected
+    assert any("attacked by" in text for texts in found for text in texts)
 
 
 def _two_action_result(rows, bounds, duty_names=None):

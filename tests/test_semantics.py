@@ -31,7 +31,7 @@ from vdarg import (
     stable,
     to_aaf,
 )
-from vdarg.frameworks import argument_graph
+from vdarg.aba import compute_attacks, derive_arguments
 from vdarg.oracle import brute_force_extensions, random_aaf
 from vdarg.semantics import SEMANTICS, _Graph
 
@@ -252,7 +252,8 @@ class TestClassQuotient:
             )),
         )
         build = practical_framework(agent, "R")
-        aaf = argument_graph(build.framework, "X", build.relevant)
+        derived = derive_arguments(build.framework, label="X", keep_conclusions=build.relevant)
+        aaf = Aaf(derived, compute_attacks(derived, build.framework))
         assert len(aaf.arguments) == arguments
 
         found = complete(aaf, budget=budget)
