@@ -129,9 +129,9 @@ def _solve_text(payload: dict) -> str:
 def cmd_solve(args: argparse.Namespace) -> int:
     agent = load_agent(args.file)
     matrix = agent.matrix_for(args.situation)
-    weak = core.weak_preference_pairs(matrix, agent.require_principle())
-    report = core.solution_report_from_pairs(matrix.vectors, weak)
-    ordering = ordering_from_pairs(matrix.vectors, weak)
+    weak = core.WeakPreference(matrix, agent.require_principle())
+    report = core.solution_report_from_pairs(weak)
+    ordering = ordering_from_pairs(weak)
     payload = {
         "situation": args.situation,
         "solutions": [a for a in agent.language.actions if a in report.actions],
@@ -384,8 +384,9 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         agent, sid = random_vda(spec)
         if core.solutions(agent, sid) != brute_force_solutions(agent, sid):
             mismatches += 1
-        # The decision runs on the compiler's argument index and its graph is written from the
-        # rows: both must agree with the derived graph, its extensions found by brute force.
+        # The decision runs on the actions and is lifted to the arguments, and its graph is
+        # written from the rows: both must agree with the derived graph, its extensions found
+        # by brute force.
         build = practical_framework(agent, sid)
         arguments = derive_arguments(build.framework, label="X", keep_conclusions=build.relevant)
         derived = Aaf(arguments, compute_attacks(arguments, build.framework))

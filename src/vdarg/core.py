@@ -7,23 +7,29 @@ principle: an ordered collection of lower-bound vectors (disjuncts).
 
 Action a is weakly preferred to action b under a disjunct when every
 componentwise differential of their duty vectors meets that disjunct's lower
-bound.  The relation is computed once per matrix, with the duty lists
-checked once per call: per duty, one cumulative bitmask of action positions
-per distinct value, so the actions one action prefers under a disjunct are
-one mask AND per duty.  Strict preference holds when
-some disjunct covers the forward differential and none covers the backward
-one.  Solutions are the actions that can head a total ordering of the
-matrix with no strict-preference inversion; with an acyclic strict relation
-these are exactly the undominated actions.
+bound.  The relation is computed once per matrix as bitmasks
+(``WeakPreference``), with the duty lists checked once per call: per duty,
+one cumulative bitmask of action positions per distinct value, so for each
+action and disjunct the actions it weakly prefers, and those that weakly
+prefer it, are one mask AND per duty.  Strict preference holds when some
+disjunct covers the forward differential and none covers the backward one:
+per action, the first union of masks without the second.  Solutions are the
+actions that can head a total ordering of the matrix with no
+strict-preference inversion; with an acyclic strict relation these are
+exactly the undominated actions.  Solutions, orderings and the practical
+compiler read the masks; the map of weakly preferred pairs is a view of
+them, built only when asked for.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import reduce
 from heapq import heapify, heappop, heappush
+from operator import or_
 
 from .errors import (
     SchemaError,
@@ -331,19 +337,27 @@ def validate_agent(agent: VdaAgent) -> VdaAgent:
     return agent
 
 
-def duty_differential(a: DutyVector, b: DutyVector) -> dict[str, int]:
-    """Componentwise a - b over a shared, identically ordered duty list."""
+def _check_vector_duties(a: DutyVector, b: DutyVector) -> None:
     if tuple(a.values.keys()) != tuple(b.values.keys()):
         raise SchemaError(
             f"duty list mismatch between vectors for {a.action!r} and {b.action!r}"
         )
+
+
+def _check_bound_duties(duties: Iterable[str], disjunct: Disjunct) -> None:
+    if set(duties) != set(disjunct.bounds.keys()):
+        raise SchemaError(f"duty list mismatch between differential and disjunct {disjunct.id!r}")
+
+
+def duty_differential(a: DutyVector, b: DutyVector) -> dict[str, int]:
+    """Componentwise a - b over a shared, identically ordered duty list."""
+    _check_vector_duties(a, b)
     return {d: a.values[d] - b.values[d] for d in a.values}
 
 
 def meets_lower_bounds(differential: Mapping[str, int], disjunct: Disjunct) -> bool:
     """True iff every component of the differential meets the disjunct's bound."""
-    if set(differential.keys()) != set(disjunct.bounds.keys()):
-        raise SchemaError(f"duty list mismatch between differential and disjunct {disjunct.id!r}")
+    _check_bound_duties(differential.keys(), disjunct)
     return all(differential[d] >= bound for d, bound in disjunct.bounds.items())
 
 
@@ -360,71 +374,159 @@ def strictly_prefers(matrix: ActionMatrix, principle: Principle, alpha: str, bet
     return bool(prefers(matrix, principle, alpha, beta)) and not prefers(matrix, principle, beta, alpha)
 
 
+def set_bits(mask: int) -> Iterator[int]:
+    """The positions of mask's set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class WeakPreference:
+    """One matrix's weak preference relation as bitmasks, computed once.
+
+    Bit i of every mask stands for ``actions[i]``: the matrix's actions, in
+    matrix order unless another order of them is given.  For action i and
+    the principle's j-th disjunct, ``over[i][j]`` holds the actions that
+    action i weakly prefers under it, and ``under[i][j]`` the actions that
+    weakly prefer action i under it; neither holds i.  Action a weakly
+    prefers b under u when b's value of every duty k is at most a's value
+    minus u's bound on k.  So per duty the column's distinct values are
+    sorted and each gets the mask of the actions valued at most it and the
+    mask of those valued at least it: ``over[i][j]`` is the AND over the
+    duties of the "at most" mask that ``bisect_right`` finds for i's value
+    minus the bound, and ``under[i][j]`` of the "at least" mask that
+    ``bisect_left`` finds for i's value plus the bound.  ``strict[i]`` holds
+    the actions that action i strictly prefers: the union of its ``over``
+    masks without the union of its ``under`` masks; ``dominators[i]`` holds
+    those that strictly prefer it.  The duty lists are checked once, and not
+    at all below two actions, where nothing is compared.
+    """
+
+    def __init__(self, matrix: ActionMatrix, principle: Principle, actions: Sequence[str] | None = None):
+        self.matrix = matrix
+        self.actions = tuple(matrix.vectors if actions is None else actions)
+        self.ids = tuple(u.id for u in principle)
+        if len(matrix.vectors) < 2:
+            self.over = self.under = [(0,) * len(self.ids)] * len(self.actions)
+            self.strict = self.dominators = [0] * len(self.actions)
+            return
+        first, *others = matrix.vectors.values()
+        for v in others:
+            _check_vector_duties(first, v)
+        for u in principle:
+            _check_bound_duties(first.values.keys(), u)
+        rows = [tuple(matrix.vectors[a].values.values()) for a in self.actions]
+        bound_rows = [tuple(map(u.bounds.__getitem__, first.values)) for u in principle]
+        everyone = (1 << len(rows)) - 1
+        columns = []
+        for column in zip(*rows):
+            with_value: dict[int, int] = {}
+            for i, x in enumerate(column):
+                with_value[x] = with_value.get(x, 0) | 1 << i
+            values = sorted(with_value)
+            # at_most[m]: the actions valued at most values[m - 1]; at_most[0] is none.
+            # at_least[m]: the actions valued at least values[m]; at_least[-1] is none.
+            at_most = [0]
+            for x in values:
+                at_most.append(at_most[-1] | with_value[x])
+            columns.append((values, at_most, [everyone ^ m for m in at_most]))
+        self.over: list[tuple[int, ...]] = []
+        self.under: list[tuple[int, ...]] = []
+        self.strict: list[int] = []
+        self.dominators: list[int] = []
+        for i, row in enumerate(rows):
+            others = everyone ^ 1 << i
+            over, under = [], []
+            for lows in bound_rows:
+                below = above = others
+                for (values, at_most, at_least), x, low in zip(columns, row, lows):
+                    below &= at_most[bisect_right(values, x - low)]
+                    above &= at_least[bisect_left(values, x + low)]
+                over.append(below)
+                under.append(above)
+            self.over.append(tuple(over))
+            self.under.append(tuple(under))
+            over_any, under_any = reduce(or_, over), reduce(or_, under)
+            self.strict.append(over_any & ~under_any)
+            self.dominators.append(under_any & ~over_any)
+
+    def disjuncts(self, i: int, k: int) -> tuple[str, ...]:
+        """Ids of the disjuncts under which action i weakly prefers action k, in principle order."""
+        return tuple(uid for uid, mask in zip(self.ids, self.over[i]) if mask >> k & 1)
+
+    def names(self, mask: int) -> list[str]:
+        """The actions in mask, in bit order."""
+        return [self.actions[i] for i in set_bits(mask)]
+
+    def _matrix_order(self) -> list[int]:
+        position = {a: i for i, a in enumerate(self.matrix.vectors)}
+        return sorted(range(len(self.actions)), key=lambda i: position[self.actions[i]])
+
+    def pairs(self) -> dict[tuple[str, str], tuple[str, ...]]:
+        """The relation as weak_preference_pairs returns it."""
+        order = self._matrix_order()
+        rank = {i: r for r, i in enumerate(order)}
+        out: dict[tuple[str, str], tuple[str, ...]] = {}
+        for i in order:
+            a = self.actions[i]
+            for k in sorted(set_bits(reduce(or_, self.over[i], 0)), key=rank.__getitem__):
+                out[(a, self.actions[k])] = self.disjuncts(i, k)
+        return out
+
+    def strict_graph(self) -> dict[str, frozenset[str]]:
+        """Map action -> the actions it strictly prefers, in matrix order."""
+        return {self.actions[i]: frozenset(self.names(self.strict[i])) for i in self._matrix_order()}
+
+    def solutions(self) -> frozenset[str]:
+        """The actions that can head an ordering with no strict-preference
+        inversion: none under a strict cycle, else the undominated ones."""
+        if _has_cycle(self.strict):
+            return frozenset()
+        return frozenset(a for a, dominators in zip(self.actions, self.dominators) if not dominators)
+
+
+def _has_cycle(successors: Sequence[int]) -> bool:
+    """Whether a graph, given as each node's successor mask, has a cycle.
+
+    Depth first: a successor of the node on top of the path that is itself
+    on the path closes a cycle.  Each node is pushed and popped once.
+    """
+    unvisited = (1 << len(successors)) - 1
+    while unvisited:
+        root = unvisited & -unvisited
+        unvisited ^= root
+        path, stack = root, [root.bit_length() - 1]
+        while stack:
+            node = stack[-1]
+            if successors[node] & path:
+                return True
+            fresh = successors[node] & unvisited
+            if fresh:
+                low = fresh & -fresh
+                unvisited ^= low
+                path |= low
+                stack.append(low.bit_length() - 1)
+            else:
+                path ^= 1 << node
+                stack.pop()
+    return False
+
+
 def weak_preference_pairs(matrix: ActionMatrix, principle: Principle) -> dict[tuple[str, str], tuple[str, ...]]:
     """Map (alpha, beta) -> prefers(matrix, principle, alpha, beta), over all
     ordered pairs of distinct actions that some disjunct qualifies.
 
-    Keys come alpha-major, both in matrix order; ids in principle order.
-    Action a weakly prefers b under u when b's value of every duty k is at
-    most a's value minus u's bound on k.  So per duty the column's distinct
-    values are sorted and each gets the mask of actions valued at most it;
-    the actions a prefers under u are the AND over the duties of the mask
-    that a bisect finds for a's threshold, minus a itself.
+    Keys come alpha-major, both in matrix order; ids in principle order.  A
+    view of WeakPreference, built for callers that read pairs: the pipeline
+    and ``solve`` read the masks.
     """
-    if len(matrix.vectors) < 2:
-        return {}
-    first, *others = matrix.vectors.values()
-    for v in others:
-        duty_differential(first, v)
-    for u in principle:
-        meets_lower_bounds(first.values, u)
-    actions = list(matrix.vectors)
-    rows = [tuple(v.values.values()) for v in matrix.vectors.values()]
-    bound_rows = [(u.id, tuple(u.bounds[d] for d in first.values)) for u in principle]
-    columns = []
-    for column in zip(*rows):
-        with_value: dict[int, int] = {}
-        for i, x in enumerate(column):
-            with_value[x] = with_value.get(x, 0) | 1 << i
-        values = sorted(with_value)
-        # at_most[j]: the actions valued at most values[j - 1]; at_most[0] is none.
-        at_most = [0]
-        for x in values:
-            at_most.append(at_most[-1] | with_value[x])
-        columns.append((values, at_most))
-    everyone = (1 << len(actions)) - 1
-    out: dict[tuple[str, str], tuple[str, ...]] = {}
-    for i, (a, row) in enumerate(zip(actions, rows)):
-        preferred = []
-        for uid, lows in bound_rows:
-            mask = everyone ^ 1 << i
-            for (values, at_most), x, low in zip(columns, row, lows):
-                mask &= at_most[bisect_right(values, x - low)]
-            if mask:
-                preferred.append((uid, mask))
-        remaining = 0
-        for _, mask in preferred:
-            remaining |= mask
-        while remaining:
-            bit = remaining & -remaining
-            remaining ^= bit
-            out[(a, actions[bit.bit_length() - 1])] = tuple(uid for uid, mask in preferred if mask & bit)
-    return out
+    return WeakPreference(matrix, principle).pairs()
 
 
 def strict_preference_graph(matrix: ActionMatrix, principle: Principle) -> dict[str, frozenset[str]]:
     """Map action -> set of actions it strictly dominates."""
-    return _strict_graph(matrix.vectors, weak_preference_pairs(matrix, principle))
-
-
-def _strict_graph(
-    actions: Iterable[str], weak: Mapping[tuple[str, str], tuple[str, ...]]
-) -> dict[str, frozenset[str]]:
-    beaten: dict[str, list[str]] = {a: [] for a in actions}
-    for a, b in weak:
-        if (b, a) not in weak:
-            beaten[a].append(b)
-    return {a: frozenset(bs) for a, bs in beaten.items()}
+    return WeakPreference(matrix, principle).strict_graph()
 
 
 def _find_cycle(graph: Mapping[str, frozenset[str]]) -> tuple[str, ...] | None:
@@ -470,22 +572,23 @@ class SolutionReport:
 
 def solution_report(agent: VdaAgent, situation_id: str) -> SolutionReport:
     matrix = agent.matrix_for(situation_id)
-    principle = agent.require_principle()
-    return solution_report_from_pairs(matrix.vectors, weak_preference_pairs(matrix, principle))
+    return solution_report_from_pairs(WeakPreference(matrix, agent.require_principle()))
 
 
-def solution_report_from_pairs(
-    actions: Iterable[str], weak: Mapping[tuple[str, str], tuple[str, ...]]
-) -> SolutionReport:
-    """The solution report of a matrix's actions, in matrix order, given its
-    weak preference pairs as weak_preference_pairs returns them."""
-    strict = _strict_graph(actions, weak)
-    cycle = _find_cycle(strict)
-    if cycle is not None:
-        # No total ordering avoids inverting a strict edge inside the cycle.
-        return SolutionReport(frozenset(), cycle)
-    dominated = {b for targets in strict.values() for b in targets}
-    return SolutionReport(frozenset(a for a in strict if a not in dominated))
+def solution_report_from_pairs(weak: WeakPreference) -> SolutionReport:
+    """The solution report of a matrix, given its weak preference as masks.
+
+    Strict preference is ``over & ~under`` per action, and a depth-first
+    pass over those masks tells whether it has a cycle.  Only then is the
+    strict graph written out by name, and the cycle reported is the one a
+    name-ordered search from the actions in matrix order meets first.
+    """
+    solutions = weak.solutions()
+    if solutions or not weak.actions:
+        return SolutionReport(solutions)
+    # Every action is dominated only under a strict cycle, and no total
+    # ordering avoids inverting a strict edge inside it.
+    return SolutionReport(solutions, _find_cycle(weak.strict_graph()))
 
 
 def solutions(agent: VdaAgent, situation_id: str) -> frozenset[str]:
@@ -516,48 +619,43 @@ def ethical_ordering(
     broken by the given priority sequence, lexicographically by default.
     """
     matrix = agent.matrix_for(situation_id)
-    principle = agent.require_principle()
-    return ordering_from_pairs(matrix.vectors, weak_preference_pairs(matrix, principle), tie_break)
+    return ordering_from_pairs(WeakPreference(matrix, agent.require_principle()), tie_break)
 
 
-def ordering_from_pairs(
-    actions: Iterable[str],
-    weak: Mapping[tuple[str, str], tuple[str, ...]],
-    tie_break: Sequence[str] | None = None,
-) -> OrderingReport:
+def ordering_from_pairs(weak: WeakPreference, tie_break: Sequence[str] | None = None) -> OrderingReport:
     """ethical_ordering over a matrix's actions, given its weak preference
-    pairs as weak_preference_pairs returns them."""
-    actions = list(actions)
+    as masks: only the steps of the ordering look up their disjunct ids."""
+    actions = weak.actions
     if tie_break is None:
         priority = sorted(actions)
     else:
         priority = list(tie_break)
         if Counter(priority) != Counter(actions):
             raise SchemaError("tie_break must be a permutation of the matrix's actions")
-    strict = _strict_graph(actions, weak)
+    strict, dominators = weak.strict, weak.dominators
 
-    # Kahn's topological sort, taking the undominated action of least rank.
-    rank = {a: i for i, a in enumerate(priority)}
-    dominators = dict.fromkeys(actions, 0)
-    for targets in strict.values():
-        for b in targets:
-            dominators[b] += 1
-    ready = [rank[a] for a in actions if not dominators[a]]
+    # Kahn's topological sort, taking the undominated action of least rank:
+    # an action is ready once the last action that strictly prefers it is picked.
+    index = {a: i for i, a in enumerate(actions)}
+    rank = [0] * len(actions)
+    for r, a in enumerate(priority):
+        rank[index[a]] = r
+    ready = [rank[i] for i, mask in enumerate(dominators) if not mask]
     heapify(ready)
-    picked: list[str] = []
+    remaining = (1 << len(actions)) - 1
+    picked: list[int] = []
     while ready:
-        choice = priority[heappop(ready)]
+        choice = index[priority[heappop(ready)]]
         picked.append(choice)
-        for b in strict[choice]:
-            dominators[b] -= 1
-            if not dominators[b]:
-                heappush(ready, rank[b])
+        remaining ^= 1 << choice
+        for k in set_bits(strict[choice]):
+            if not dominators[k] & remaining:
+                heappush(ready, rank[k])
 
     steps = tuple(
-        OrderingStep(action, weak.get((action, following), ()))
-        for action, following in zip(picked, picked[1:])
+        OrderingStep(actions[i], weak.disjuncts(i, k)) for i, k in zip(picked, picked[1:])
     )
     if picked:
-        steps += (OrderingStep(picked[-1], ()),)
-    stuck = tuple(sorted(set(actions).difference(picked))) or None
+        steps += (OrderingStep(actions[picked[-1]], ()),)
+    stuck = tuple(sorted(weak.names(remaining))) or None
     return OrderingReport(steps, stuck)

@@ -98,11 +98,11 @@ def _explained(duty_names: Mapping[str, str] | None, **fields) -> Explanation:
 
 
 def explain_action(result: PracticalResult, action: str) -> Explanation:
-    """Explain one action from the decision over the compiler's argument
-    index, by argument id: each argument's row names its source and
-    disjunct, ``build.sentences`` writes out its conclusion and premises,
-    and ``result.value_table`` holds the value pairs it cites, so neither
-    the framework nor the argument graph is built."""
+    """Explain one action from the decision, by argument id: each
+    argument's row names its source and disjunct, ``build.sentences``
+    writes out its conclusion and premises, ``result.value_table`` holds the
+    value pairs it cites and ``result.extension_labels`` its source's
+    extensions, so neither the framework nor the argument graph is built."""
     build = result.build
     disjuncts, vectors, duty_names = result.value_table
     if action not in vectors:
@@ -110,13 +110,15 @@ def explain_action(result: PracticalResult, action: str) -> Explanation:
     report, arguments, attackers_of = result.report, build.arguments, build.attackers_of
     target_vector = vectors[action]
 
-    def citation(att_id: str, extensions: tuple[str, ...]) -> AttackerCitation:
+    def citation(att_id: str, extensions: tuple[str, ...] | None = None) -> AttackerCitation:
+        # By default, every extension that holds the attacker.
         row = arguments[att_id]
         source, _, disjunct = row
         conclusion, premises = build.sentences(row)
         return AttackerCitation(
-            att_id, conclusion, premises, extensions, result.counter_attackers[source],
-            disjunct, disjuncts[disjunct][1], source, vectors[source], target_vector,
+            att_id, conclusion, premises, result.extension_labels[source] if extensions is None else extensions,
+            result.counter_attackers[source], disjunct, disjuncts[disjunct][1], source, vectors[source],
+            target_vector,
         )
 
     def rank(att_id: str) -> tuple[int, str]:
@@ -149,10 +151,8 @@ def explain_action(result: PracticalResult, action: str) -> Explanation:
                 "justified-skeptical" if status.in_all
                 else "justified-credulous" if status.in_some else "indeterminate"
             )
-            extensions = report.extension_labels_containing(arg_id)
-            attackers = tuple(
-                citation(a, report.extension_labels_containing(a)) for a in attackers_of[action]
-            )
+            extensions = result.extension_labels[action]
+            attackers = tuple(map(citation, attackers_of[action]))
             if status.in_some:
                 defenders = tuple(sorted(
                     {c for att in attackers for c in att.counter_attackers},

@@ -13,14 +13,20 @@ Each rule is fixed by one row (source, target, disjunct): an action rule is
 (a, a, None) and a principle rule is (s, t, u).  Every rule body holds one
 vector and at most one axiom, so each rule whose body is derivable gives
 exactly one argument: every action rule, and every principle rule whose
-source qualifies.  The compiler numbers them X1, X2... in rule order without
-deriving them.  An argument's support is its source's vector and its
-attackers are the principle arguments that target that action, so the
-compiler indexes the attackers by source, and the decision runs the
-semantics on that argument index.  An argument's status is fixed by its
-support (flat ABA: Bondarenko, Dung, Kowalski & Toni 1997; Toni 2014): the
-arguments of one action share their attackers, so the semantics decides
-them as one class with one status record.  ``PracticalBuild.sentences``
+source qualifies.  The compiler reads the principle rows off the weak
+preference masks (``core.WeakPreference``), target by target, and numbers
+the arguments X1, X2... in rule order without deriving them.  An argument's
+support is its source's vector and its attackers are the principle
+arguments that target that action, so the compiler indexes the attackers
+by source.  An argument's status is fixed by its support (flat ABA:
+Bondarenko, Dung, Kowalski & Toni 1997; Toni 2014): the arguments of one
+action share their attackers and are decided as one class.  So the
+decision runs the semantics on the qualifying actions, each attacked by
+the qualifying sources of the rows against it, and lifts the verdicts to
+the argument ids: each argument holds its source's status record, and an
+extension holds the arguments whose source is in it.  The actions are
+passed in the order of their last argument, which keeps the extensions in
+the argument graph's order.  ``PracticalBuild.sentences``
 writes a row out as a rule's head and body, and the ABA framework is built
 from the rows only when ``PracticalBuild.framework`` is first read.  So is
 the argument graph, with no derivation, when ``PracticalResult.aaf`` is read,
@@ -40,7 +46,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count
+from itertools import compress, count
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import aba, core
@@ -60,7 +67,7 @@ from .errors import (
     SchemaError,
     UnknownNameError,
 )
-from .semantics import AcceptanceReport, acceptance_status
+from .semantics import AcceptanceReport, Extension, acceptance_status
 
 
 # A practical rule: (source, target, disjunct).  An action rule a <- v(a) is
@@ -77,7 +84,7 @@ class PracticalBuild:
     assumption_actions: tuple[str, ...]
     relevant: frozenset[str]
     display_order: Mapping[str, int]  # the language in canonical sentence order, for premise rendering
-    weak_preference: Mapping[tuple[str, str], tuple[str, ...]]  # as core.weak_preference_pairs
+    preference: core.WeakPreference  # over the actions in language order
     rows: tuple[Row, ...]  # one per rule, in rule order: rule r<k> is rows[k-1]
     # Argument id -> the row of the rule it applies: the rows whose source
     # qualifies, in rule order.
@@ -85,6 +92,9 @@ class PracticalBuild:
     # Qualifying action -> the ids of the arguments concluding its contrary,
     # in argument order; the actions come in language order.
     attackers_of: Mapping[str, tuple[str, ...]]
+    # Qualifying action -> the qualifying actions whose arguments attack it;
+    # both in language order.
+    action_attackers: Mapping[str, tuple[str, ...]]
 
     def sentences(self, row: Row) -> tuple[str, tuple[str, ...]]:
         """A rule's head and its body, in display order."""
@@ -92,6 +102,11 @@ class PracticalBuild:
         if disjunct is None:
             return source, (self.vector_of[source],)
         return self.negation_of[target], (disjunct, self.vector_of[source])
+
+    @cached_property
+    def weak_preference(self) -> Mapping[tuple[str, str], tuple[str, ...]]:
+        """The weak preference pairs, as core.weak_preference_pairs gives them."""
+        return self.preference.pairs()
 
     @cached_property
     def framework(self) -> AbaFramework:
@@ -129,30 +144,43 @@ def practical_framework(agent: VdaAgent, situation_id: str) -> PracticalBuild:
     vector_of = {a: vector_sentence(situation_id, a) for a in actions}
     negation_of = {a: negation_sentence(situation_id, a) for a in actions}
 
-    rows: list[Row] = [(a, a, None) for a in qualifying]
-    weak = core.weak_preference_pairs(matrix, principle)
+    # Bit i of every mask stands for actions[i], so set bits come in language order.
+    preference = core.WeakPreference(matrix, principle, actions)
+    qualifies = [a in qualifying_set for a in actions]
     # The tightest qualifying disjunct: greatest total bound, earliest on ties.
-    rank = {u.id: (-sum(u.bounds.values()), i) for i, u in enumerate(principle)}
-    # Only assumptions have contraries to conclude.  The map's keys come in
-    # matrix order, so each target's sources are put back in language order.
-    position = {a: i for i, a in enumerate(actions)}
-    sources: dict[str, list[str]] = {}
-    for source, target in weak:
-        if target in qualifying_set:
-            sources.setdefault(target, []).append(source)
-    for target in actions:
-        for source in sorted(sources.get(target, ()), key=position.__getitem__):
-            rows.append((source, target, min(weak[(source, target)], key=rank.__getitem__)))
-
-    arguments: dict[str, Row] = {}
-    attackers: dict[str, list[str]] = {a: [] for a in qualifying}
-    for row in rows:
-        source, target, disjunct = row
-        if source in qualifying_set:  # its vector is an assumption, so the body is derivable
-            arg_id = f"X{len(arguments) + 1}"
-            arguments[arg_id] = row
-            if disjunct is not None:
-                attackers[target].append(arg_id)
+    ranked = sorted(enumerate(principle), key=lambda ju: (-sum(ju[1].bounds.values()), ju[0]))
+    rows: list[Row] = [(a, a, None) for a in qualifying]
+    # The action rules come first, and their sources qualify.
+    arguments: dict[str, Row] = {f"X{k}": row for k, row in enumerate(rows, 1)}
+    attackers: dict[str, tuple[str, ...]] = {}
+    action_attackers: dict[str, tuple[str, ...]] = {}  # the sources of attackers_of
+    # Only assumptions have contraries to conclude: one block of rows per
+    # qualifying target, its sources in language order, each citing the
+    # first disjunct in rank order that qualifies it.
+    for t, target in enumerate(actions):
+        if not qualifies[t]:
+            continue
+        under = preference.under[t]
+        cited: dict[int, str] = {}
+        seen = 0
+        for j, u in ranked:
+            fresh = under[j] & ~seen
+            if fresh:
+                seen |= fresh
+                cited.update(dict.fromkeys(core.set_bits(fresh), u.id))
+        ids: list[str] = []
+        sources: list[str] = []
+        for k in core.set_bits(seen):
+            source = actions[k]
+            row = (source, target, cited[k])
+            rows.append(row)
+            if qualifies[k]:  # its vector is an assumption, so the body is derivable
+                arg_id = f"X{len(arguments) + 1}"
+                arguments[arg_id] = row
+                ids.append(arg_id)
+                sources.append(source)
+        attackers[target] = tuple(ids)
+        action_attackers[target] = tuple(sources)
     if len(arguments) > DEFAULT_MAX_ARGUMENTS:  # derive_arguments' cap, checked before any semantics runs
         raise ResourceCapError("max_arguments", DEFAULT_MAX_ARGUMENTS)
 
@@ -167,20 +195,22 @@ def practical_framework(agent: VdaAgent, situation_id: str) -> PracticalBuild:
         situation_id=situation_id,
         vector_of=vector_of,
         negation_of=negation_of,
-        assumption_actions=tuple(a for a in actions if a in qualifying_set),
+        assumption_actions=tuple(qualifying),
         relevant=frozenset(actions) | frozenset(negation_of[a] for a in qualifying),
         display_order={s: i for i, s in enumerate(ordered)},
-        weak_preference=weak,
+        preference=preference,
         rows=tuple(rows),
         arguments=arguments,
-        attackers_of={a: tuple(atts) for a, atts in attackers.items()},
+        attackers_of=attackers,
+        action_attackers=action_attackers,
     )
 
 
 @dataclass(frozen=True)
 class PracticalResult:
-    """Practical pipeline output: the decision over the compiler's argument
-    index and the action verdicts; the argument graph is built on first read."""
+    """Practical pipeline output: the decision, made on the qualifying actions
+    and lifted to the compiler's argument index, and the action verdicts; the
+    argument graph is built on first read."""
 
     build: PracticalBuild
     semantics: str
@@ -222,6 +252,16 @@ class PracticalResult:
         return Aaf(tuple(arguments), attackers_of)
 
     @cached_property
+    def extension_labels(self) -> Mapping[str, tuple[str, ...]]:
+        """Each qualifying action's extension labels: the extensions that
+        hold its arguments, which are one class with one membership."""
+        labelled = self.report.labelled()
+        return {
+            action: tuple(label for label, ext in labelled if arg_id in ext.members)
+            for action, arg_id in self.action_argument.items()
+        }
+
+    @cached_property
     def counter_attackers(self) -> Mapping[str, tuple[str, ...]]:
         """Each qualifying action's attackers that are in some extension, in
         argument order: the accepted arguments that strike back for it."""
@@ -251,9 +291,26 @@ class ValueTable(NamedTuple):
 
 def analyze_practical(agent: VdaAgent, situation_id: str, semantics: str = "grounded") -> PracticalResult:
     build = practical_framework(agent, situation_id)
-    # Each argument is attacked by the arguments against its source action.
-    attackers_of = build.attackers_of
-    report = acceptance_status({x: attackers_of[row[0]] for x, row in build.arguments.items()}, semantics)
+    # Decide on the actions; an argument's status is its source action's.
+    # Extensions are ordered by their node masks.  An action's arguments are
+    # one class, so two extensions' argument masks compare at the last
+    # argument of the last action in one and not the other: with the actions
+    # in the order of their last argument, the action masks compare the same way.
+    ids = build.arguments.keys()
+    sources = [*map(itemgetter(0), build.arguments.values())]
+    last_first = dict.fromkeys(reversed(sources))  # each action at its last argument, read backwards
+    decided = acceptance_status({a: build.action_attackers[a] for a in reversed(last_first)}, semantics)
+    status_of = decided.statuses
+    report = AcceptanceReport(
+        semantics,
+        tuple([
+            Extension(frozenset(compress(ids, map(ext.members.__contains__, sources))), semantics)
+            for ext in decided.extensions
+        ]),
+        dict(zip(ids, map(status_of.__getitem__, sources))),
+        decided.vacuous,
+        decided.diagnostic,
+    )
 
     # The action rules come first, one per qualifying action.
     action_argument = dict(zip(build.assumption_actions, build.arguments))
@@ -261,17 +318,16 @@ def analyze_practical(agent: VdaAgent, situation_id: str, semantics: str = "grou
     justified: set[str] = set()
     credulous: set[str] = set()
     for a in agent.language.actions:
-        if a not in action_argument:
+        status = status_of.get(a)
+        if status is None:
             action_status[a] = "rejected-a-priori"
             continue
-        status = report.statuses[action_argument[a]]
         action_status[a] = status.status
         if status.in_all:
             justified.add(a)
         if status.in_some:
             credulous.add(a)
 
-    sol = core.solution_report_from_pairs(agent.matrix_for(situation_id).vectors, build.weak_preference)
     return PracticalResult(
         build=build,
         semantics=semantics,
@@ -280,7 +336,7 @@ def analyze_practical(agent: VdaAgent, situation_id: str, semantics: str = "grou
         action_status=action_status,
         justified_actions=frozenset(justified),
         credulous_actions=frozenset(credulous),
-        solutions=sol.actions,
+        solutions=build.preference.solutions(),
     )
 
 

@@ -10,8 +10,9 @@ Lifting is injective and monotone, so the least (grounded), the maximal
 flat ABA frameworks compiled here an argument is attacked only through its
 assumptions, so this is the assumption-level semantics of flat ABA, derived
 from the attack graph alone.  The graph is an ordered map from each node
-to its attackers: an Aaf's ``attackers_of``, or the compiler's argument
-index for a practical decision (see ``frameworks``).  ``_Graph`` groups the
+to its attackers: an Aaf's ``attackers_of``, or the qualifying actions
+of a practical decision, each with the actions whose arguments attack it
+(see ``frameworks``).  ``_Graph`` groups the
 nodes into classes itself, and ``acceptance_status`` decides one status
 record per class, which all members of the class share.
 
@@ -37,6 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .aba import Aaf
+from .core import set_bits
 from .errors import ResourceCapError, UnknownNameError
 
 SEMANTICS = ("grounded", "complete", "preferred", "stable")
@@ -48,14 +50,6 @@ DEFAULT_SEARCH_BUDGET = 2_000_000
 class Extension:
     members: frozenset[str]
     semantics: str
-
-
-def _bits(mask: int):
-    """Positions of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class _Graph:
@@ -87,10 +81,10 @@ class _Graph:
 
     def lift(self, mask: int) -> int:
         """The node mask of the members of the classes in mask."""
-        return sum(1 << i for c in _bits(mask) for i in self.members[c])
+        return sum(1 << i for c in set_bits(mask) for i in self.members[c])
 
     def extension(self, in_mask: int, semantics: str) -> Extension:
-        members = frozenset(self.ids[i] for c in _bits(in_mask) for i in self.members[c])
+        members = frozenset(self.ids[i] for c in set_bits(in_mask) for i in self.members[c])
         return Extension(members, semantics)
 
 
@@ -121,7 +115,7 @@ def _propagate(g: _Graph, in_mask: int, out_mask: int, attacked: int) -> tuple[i
                 if near & ~out_mask:
                     out_mask |= near
                     changed = True
-                for a in _bits(att & ~attacked):
+                for a in set_bits(att & ~attacked):
                     if attacked >> a & 1:  # a class forced IN above attacks it
                         continue
                     witnesses = attackers[a] & ~(in_mask | out_mask)

@@ -11,6 +11,7 @@ graph.
 
 from __future__ import annotations
 
+import random
 import runpy
 from dataclasses import replace
 from pathlib import Path
@@ -332,3 +333,50 @@ def test_decide_and_explain_leave_the_framework_and_the_argument_graph_unbuilt(e
             explain_all_actions(result)
             assert "framework" not in vars(result.build)
             assert "aaf" not in vars(result)
+
+
+def assert_action_nodes_decide_as_argument_nodes(agent: VdaAgent, situation_id: str, semantics: str) -> None:
+    """The decision on the qualifying actions, lifted to the arguments, against
+    the same semantics run on every argument with its source's attackers."""
+    result = analyze_practical(agent, situation_id, semantics)
+    build = result.build
+    ref = acceptance_status({x: build.attackers_of[row[0]] for x, row in build.arguments.items()}, semantics)
+    report = result.report
+    assert [e.members for e in report.extensions] == [e.members for e in ref.extensions]
+    assert all(e.semantics == semantics for e in report.extensions)
+    assert list(report.statuses.items()) == list(ref.statuses.items())
+    assert (report.semantics, report.vacuous, report.diagnostic) == (ref.semantics, ref.vacuous, ref.diagnostic)
+
+
+def corpus_agents(count: int):
+    """Agents drawn as the benchmark's corpus draws them: 2-5 actions, 1-4
+    duties and 1-4 disjuncts, every vector satisfying a duty, order-inducing."""
+    rng = random.Random(24)
+    for seed in range(count):
+        yield random_vda(RandomVdaSpec(
+            seed=seed, actions=rng.randint(2, 5), duties=rng.randint(1, 4), disjuncts=rng.randint(1, 4),
+            assumption_policy="satisfying", order_inducing=True,
+        ))
+
+
+@pytest.mark.parametrize("semantics", SEMANTICS)
+def test_action_nodes_decide_corpus_agents_as_argument_nodes(semantics):
+    extensions = 0
+    for agent, sid in corpus_agents(120):
+        assert_action_nodes_decide_as_argument_nodes(agent, sid, semantics)
+        extensions += len(analyze_practical(agent, sid, semantics).report.extensions) > 1
+    assert extensions or semantics == "grounded"
+
+
+@pytest.mark.parametrize("semantics", SEMANTICS)
+@pytest.mark.parametrize("agent", [NON_QUALIFYING_SOURCE, NOTHING_QUALIFIES, ODD_CYCLE, wide_agent(0, 40, 2)],
+                         ids=["non-qualifying-source", "nothing-qualifies", "odd-cycle", "wide-40-dense"])
+def test_action_nodes_decide_named_inputs_as_argument_nodes(agent, semantics):
+    assert_action_nodes_decide_as_argument_nodes(agent, "R", semantics)
+
+
+def test_a_vacuous_stable_report_lifts_with_its_diagnostic():
+    report = analyze_practical(ODD_CYCLE, "R", "stable").report
+    assert report.vacuous and report.extensions == ()
+    assert report.diagnostic == "stable semantics yielded no extensions; statuses are vacuous"
+    assert {st.status for st in report.statuses.values()} == {"vacuous"}

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import random
 from dataclasses import replace
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +26,7 @@ from vdarg import (
     UnknownNameError,
     VdaAgent,
     VdaLanguage,
+    analyze_practical,
     duty_differential,
     ethical_ordering,
     meets_lower_bounds,
@@ -33,7 +38,11 @@ from vdarg import (
     validate_agent,
     weak_preference_pairs,
 )
+from vdarg import core
+from vdarg.cli import main as cli_main
 from vdarg.core import ordered_literals
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 DUTIES = ("MHC", "MMR", "mH2P", "MG2P", "mNI", "MRA", "MPPI")
 
@@ -522,3 +531,101 @@ class TestStrictGraphAndOrdering:
             assert report.actions == brute_force_solutions(agent, "R")
             cycles += report.cycle is not None
         assert cycles
+
+
+def _reference_rows(agent, situation_id):
+    """The principle rows pair by pair: per qualifying target in language
+    order, each source in language order that some disjunct qualifies, citing
+    the greatest total bound, the earliest in principle order on ties."""
+    matrix, principle = agent.matrices[situation_id], agent.principle
+    weak = TestWeakPreferencePairs._per_pair(matrix, principle)
+    actions = agent.language.actions
+    qualifying = [a for a in actions if matrix.vector(a).satisfies_some_duty()] or list(actions)
+    rank = {u.id: (-sum(u.bounds.values()), i) for i, u in enumerate(principle)}
+    return [
+        (source, target, min(weak[(source, target)], key=rank.__getitem__))
+        for target in qualifying
+        for source in actions
+        if (source, target) in weak
+    ]
+
+
+def _reference_solution_report(matrix, weak):
+    strict = _reference_strict_graph(list(matrix.vectors), weak)
+    cycle = core._find_cycle(strict)
+    if cycle is not None:
+        return frozenset(), cycle
+    dominated = set().union(*strict.values())
+    return frozenset(matrix.vectors) - dominated, None
+
+
+class TestMasksAgainstPairs:
+    """Rows, solutions, cycles and orderings read from the preference masks
+    against all-pairs references, on matrices whose order differs from
+    language order, with planted strict cycles, and with 63-65 actions named
+    so that sort order differs from index order (a10 sorts before a2)."""
+
+    @staticmethod
+    def _inputs():
+        yield from TestStrictGraphAndOrdering._agents(8, 120, (2, 3, 4, 5, 8, 12))
+        yield from TestStrictGraphAndOrdering._agents(9, 6, (63, 64, 65))
+
+    def test_rows_solutions_cycles_and_orderings(self):
+        cycles = wide = 0
+        for agent in self._inputs():
+            matrix = agent.matrices["R"]
+            weak = TestWeakPreferencePairs._per_pair(matrix, agent.principle)
+            build = practical_framework(agent, "R")
+            assert [row for row in build.rows if row[2] is not None] == _reference_rows(agent, "R")
+            assert list(build.weak_preference.items()) == list(weak.items())
+            report = solution_report(agent, "R")
+            assert (report.actions, report.cycle) == _reference_solution_report(matrix, weak)
+            ordering = ethical_ordering(agent, "R")
+            steps, stuck = _reference_ordering(list(matrix.vectors), weak, sorted(matrix.vectors))
+            assert ([(s.action, s.to_next) for s in ordering.steps], ordering.stuck) == (steps, stuck)
+            cycles += report.cycle is not None
+            wide += len(matrix.vectors) > 62
+        assert cycles > 10 and wide == 6
+
+    def test_the_decision_reads_the_same_solutions(self):
+        for agent in TestStrictGraphAndOrdering._agents(10, 60, (2, 3, 5, 8, 12)):
+            result = analyze_practical(agent, "R")
+            assert result.solutions == solution_report(agent, "R").actions
+
+
+class TestNoPairDictOnTheHotPaths:
+    """Deciding and solving read the masks: with weak_preference_pairs
+    stubbed to raise they give the same results and the same bytes."""
+
+    @staticmethod
+    def _solve(path, situation_id, fmt):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli_main(["solve", str(path), situation_id, "--format", fmt])
+        return code, out.getvalue()
+
+    def test_decide_and_solve_with_the_pair_view_stubbed(self, eldercare, eldercare_path, monkeypatch):
+        cycle_path = GOLDEN / "cycle.json"
+        cases = [(eldercare_path, "{eldercare}", sid) for sid in ("S1", "S2J", "S2")]
+        cases.append((cycle_path, "{cycle}", "R"))
+        expected = {
+            (path, sid, fmt): self._solve(path, sid, fmt) for path, _, sid in cases for fmt in ("text", "json")
+        }
+        pairs = weak_preference_pairs(eldercare.matrices["S1"], eldercare.principle)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the decision and solve read the masks, not the pairs")
+
+        monkeypatch.setattr(core, "weak_preference_pairs", refuse)
+        result = analyze_practical(eldercare, "S1")
+        assert result.solutions == frozenset({"warn"})
+        golden = json.loads((GOLDEN / "cli.json").read_text(encoding="utf-8"))
+        for path, name, sid in cases:
+            for fmt in ("text", "json"):
+                code, stdout = self._solve(path, sid, fmt)
+                assert (code, stdout) == expected[(path, sid, fmt)]
+                snapshot = golden[f"solve {name} {sid} --format {fmt}"]
+                assert (code, stdout) == (snapshot["code"], snapshot["stdout"])
+        # The build's view is built from its masks when read.
+        assert "weak_preference" not in vars(result.build)
+        assert list(result.build.weak_preference.items()) == list(pairs.items())

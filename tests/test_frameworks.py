@@ -134,34 +134,26 @@ class TestPracticalGeneration:
                 )
 
     @pytest.mark.parametrize("reverse_ids", [False, True])
-    def test_equal_totals_go_to_the_earliest_disjunct(self, monkeypatch, reverse_ids):
-        # u1 is looser (total -4); u2 and u3 tie at -2.  Reversing the ids that
-        # weak preference lists shows that principle order, not list order,
-        # breaks the tie.
-        from vdarg import core
-        if reverse_ids:
-            pairs = core.weak_preference_pairs
-            monkeypatch.setattr(core, "weak_preference_pairs", lambda m, p: {
-                key: ids[::-1] for key, ids in pairs(m, p).items()
-            })
+    def test_equal_totals_go_to_the_earliest_disjunct(self, reverse_ids):
+        # u1 is looser (total -4); u2 and u3 tie at -2.  Listing the tied
+        # disjuncts the other way round in the principle shows that principle
+        # order, not the ids, breaks the tie.
         duties = ("d1", "d2")
         rows = {"a": (2, 1), "b": (1, 1)}
-        bounds = [(-2, -2), (-1, -1), (0, -2)]
+        bounds = {"u1": (-2, -2), "u2": (-1, -1), "u3": (0, -2)}
+        listed = ("u1", "u3", "u2") if reverse_ids else ("u1", "u2", "u3")
         agent = VdaAgent(
             language=VdaLanguage(("p",), ("a", "b"), duties),
             situations={"R": Situation.from_perceptions(("p",), ())},
             matrices={"R": ActionMatrix("R", {
                 k: DutyVector(k, dict(zip(duties, row))) for k, row in rows.items()
             })},
-            principle=Principle(tuple(
-                Disjunct(f"u{i + 1}", dict(zip(duties, b))) for i, b in enumerate(bounds)
-            )),
+            principle=Principle(tuple(Disjunct(uid, dict(zip(duties, bounds[uid]))) for uid in listed)),
         )
         build = practical_framework(agent, "R")
-        listed = ("u1", "u2", "u3")
-        assert build.weak_preference[("a", "b")] == (listed[::-1] if reverse_ids else listed)
+        assert build.weak_preference[("a", "b")] == listed
         cited = [disjunct for source, _, disjunct in build.rows if source == "a" and disjunct is not None]
-        assert cited == ["u2"]
+        assert cited == [listed[1]]
 
     def test_principle_rules_follow_language_order(self):
         # Rules go target-major, then source, both in language order, which
