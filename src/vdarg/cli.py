@@ -1,7 +1,9 @@
 """Command-line front end: solve | justify | explain | epistemic.
 
 Each report is built once, as the payload that --format json prints; the
-text and --dot forms are rendered from that payload alone.  All reports are
+text and --dot forms are rendered from that payload alone.  The epistemic
+reports take each verdict, its rejecting attacker and any contradiction from
+``frameworks``; no renderer decides them again.  All reports are
 byte-deterministic for identical inputs and flags.  Exit
 codes: 0 success, 1 domain outcome (indeterminate situation, empty solution
 set), 2 usage or file errors.
@@ -27,6 +29,7 @@ from .frameworks import (
     adjudicate,
     analyze_epistemic,
     analyze_practical,
+    contradiction,
     epistemic_framework,
     practical_framework,
 )
@@ -53,12 +56,12 @@ def _graph_payload(aaf: Aaf, report: AcceptanceReport) -> dict:
     }
 
 
-def _epistemic_graph_payload(aaf: Aaf, report: AcceptanceReport, order) -> dict:
+def _epistemic_graph_payload(aaf: Aaf, report: AcceptanceReport, order, conflict: str | None = None) -> dict:
     arguments = [
         {"id": arg.id, "premises": ordered_premises(arg.premises, order), "conclusion": arg.conclusion}
         for arg in aaf.arguments
     ]
-    return {"arguments": arguments, **_graph_payload(aaf, report), "diagnostic": report.diagnostic}
+    return {"arguments": arguments, **_graph_payload(aaf, report), "diagnostic": report.diagnostic or conflict}
 
 
 def _rule_lines(payload: dict) -> list[str]:
@@ -208,14 +211,15 @@ def _practical_text(payload: dict) -> str:
 
 
 def _epistemic_framework_payload(spec: EpistemicSpec, semantics: str) -> dict:
-    """The epistemic framework on its own, with no perception facts added."""
+    """The epistemic framework on its own, with no perception facts added; its
+    diagnostic names the contradiction that analyze_epistemic would raise."""
     build = epistemic_framework(spec)
     aaf, report, verdicts = adjudicate(build, semantics)
     return {
         "framework": "epistemic",
         "semantics": semantics,
         "rules": [{"id": r.id, "head": r.head, "body": list(r.body)} for r in build.framework.rules],
-        **_epistemic_graph_payload(aaf, report, build.display_order),
+        **_epistemic_graph_payload(aaf, report, build.display_order, contradiction(verdicts)),
         "assumptions": {str(v.literal): report.statuses[v.argument_id].status for v in verdicts},
     }
 
@@ -323,6 +327,7 @@ def _epistemic_payload(result: EpistemicResult) -> dict:
                 "status": v.status,
                 "attackers": list(v.attackers),
                 "defenders": list(v.defenders),
+                "rejecting_attacker": v.rejecting_attacker,
             }
             for v in result.verdicts
         ]
@@ -343,12 +348,7 @@ def _epistemic_text(payload: dict) -> str:
             if verdict["status"] == "justified":
                 detail = "defended by " + (", ".join(verdict["defenders"]) or "no one; unattacked")
             elif verdict["status"] == "rejected":
-                # The first attacker accepted in every extension rejects it.
-                rejecting = next(
-                    a for a in verdict["attackers"]
-                    if all(a in members for members in payload["extensions"])
-                )
-                detail = f"attacked by {rejecting}"
+                detail = f"attacked by {verdict['rejecting_attacker']}"
             else:
                 detail = "undecided"
             lines.append(f"  {Literal.parse(verdict['literal'])}: {verdict['status']} ({detail})")

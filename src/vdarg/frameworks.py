@@ -39,6 +39,8 @@ over, and true perceptions that are not assumptions become empty-body fact
 rules.  ``adjudicate`` derives the argument graph, decides it and gives each
 assumption its verdict, which every epistemic report reads: the justified
 perceptions and, when every assumption is settled, a justified situation.
+``contradiction`` decides when they hold an atom and its negation, for
+``analyze_epistemic`` to raise and for the framework-only report to print.
 """
 
 from __future__ import annotations
@@ -427,6 +429,16 @@ def adjudicate(
     return aaf, report, tuple(verdicts)
 
 
+def contradiction(verdicts: Sequence[AssumptionVerdict], facts: Iterable[Literal] = ()) -> str | None:
+    """The error when the facts and the justified assumptions hold an atom and
+    its negation, or None: an undecided assumption leaves no situation to contradict."""
+    if any(v.status == "undecided" for v in verdicts):
+        return None
+    justified = {*facts, *(v.literal for v in verdicts if v.status == "justified")}
+    atoms = sorted(lit.atom for lit in justified if not lit.positive and lit.negated in justified)
+    return f"justified perceptions are contradictory for atoms: {atoms}" if atoms else None
+
+
 @dataclass(frozen=True)
 class EpistemicResult:
     spec: EpistemicSpec
@@ -465,20 +477,13 @@ def analyze_epistemic(
     build = epistemic_framework(spec, extra_facts=auto_facts)
     aaf, report, verdicts = adjudicate(build, semantics)
 
+    conflict = contradiction(verdicts, auto_facts)
+    if conflict:
+        raise SchemaError(conflict)
     pj = frozenset(auto_facts) | frozenset(v.literal for v in verdicts if v.status == "justified")
     undecided = tuple(v.literal for v in verdicts if v.status == "undecided")
-
-    situation = None
-    if not undecided:
-        positive = {lit.atom for lit in pj if lit.positive}
-        negative_conflicts = sorted(
-            lit.atom for lit in pj if not lit.positive and lit.atom in positive
-        )
-        if negative_conflicts:
-            raise SchemaError(
-                f"justified perceptions are contradictory for atoms: {negative_conflicts}"
-            )
-        situation = Situation.from_perceptions(spec.atoms, sorted(positive))
+    positives = [lit.atom for lit in pj if lit.positive]
+    situation = None if undecided else Situation.from_perceptions(spec.atoms, positives)
 
     return EpistemicResult(
         spec, semantics, ordered_p, build, aaf, report,

@@ -2,23 +2,30 @@
 
 Everything here is deliberately naive and shares no code with the production
 solvers: solutions come from enumerating action permutations, extensions from
-testing every argument subset against the textbook definitions.  The only
-shared ingredient is the *definition* of strict preference (forward cover,
-no backward cover), which the oracle recomputes from raw vectors.
+testing every argument subset against the textbook definitions, and
+epistemic verdicts from testing every assumption subset, closed by naive
+forward chaining, against the flat-ABA definitions.  The only shared
+ingredient is the *definition* of strict preference (forward cover, no
+backward cover), which the oracle recomputes from raw vectors.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import reduce
 from itertools import permutations
+from operator import and_
 
 from .aba import Aaf, Argument, to_aaf
 from .core import (
     ActionMatrix,
     Disjunct,
     DutyVector,
+    EpistemicRule,
+    EpistemicSpec,
+    Literal,
     Principle,
     Situation,
     VdaAgent,
@@ -28,6 +35,7 @@ from .errors import ResourceCapError, SchemaError
 
 MAX_ORACLE_ACTIONS = 7
 MAX_ORACLE_ARGUMENTS = 16
+MAX_ORACLE_ASSUMPTIONS = 10
 
 
 def _covers(bounds: dict[str, int], diff: dict[str, int]) -> bool:
@@ -148,6 +156,95 @@ def brute_force_extensions(aaf: Aaf, semantics: str) -> set[frozenset[str]]:
             raise AssertionError("grounded oracle: no unique least complete extension")
         return {members(least[0])}
     raise SchemaError(f"unknown semantics {semantics!r}")
+
+
+def brute_force_assumption_verdicts(
+    spec: EpistemicSpec, perceptions: Sequence[str], semantics: str
+) -> dict[Literal, str]:
+    """Each assumption's verdict, in declaration order, from the extensions
+    over sets of assumptions (flat ABA).
+
+    Cn(S) closes S, the declared facts and the perceptions by naive forward
+    chaining over the rules; a fact or perception that is an assumption is
+    not a fact, as no rule of a flat framework derives an assumption.  S
+    attacks an assumption b when contrary(b) is in Cn(S), and defends b when
+    it attacks every set that attacks b.  An assumption is "justified" when
+    it is in every extension, "rejected" when its contrary is in Cn of their
+    intersection, and "undecided" otherwise, as it is when there is none.
+    """
+    assumptions = list(spec.assumptions)
+    n = len(assumptions)
+    if n > MAX_ORACLE_ASSUMPTIONS:
+        raise ResourceCapError("max_oracle_assumptions", MAX_ORACLE_ASSUMPTIONS)
+    facts = {*spec.facts, *map(Literal, perceptions)} - set(assumptions)
+    rules = [(rule.head, set(rule.body)) for rule in spec.rules]
+
+    def cn(mask: int) -> set[Literal]:
+        known = facts | {a for i, a in enumerate(assumptions) if mask >> i & 1}
+        grown = True
+        while grown:
+            grown = False
+            for head, body in rules:
+                if head not in known and body <= known:
+                    known.add(head)
+                    grown = True
+        return known
+
+    subsets = range(1 << n)
+    full = (1 << n) - 1
+    # hit[S]: the assumptions that S attacks.
+    hit = []
+    for mask in subsets:
+        known = cn(mask)
+        hit.append(sum(1 << i for i, a in enumerate(assumptions) if spec.contrary_of(a) in known))
+    attacking = [[t for t in subsets if hit[t] >> i & 1] for i in range(n)]
+
+    def defends(mask: int, i: int) -> bool:
+        return all(hit[mask] & t for t in attacking[i])
+
+    conflict_free = [m for m in subsets if not hit[m] & m]
+    admissible = [m for m in conflict_free if all(defends(m, i) for i in range(n) if m >> i & 1)]
+    complete = [m for m in admissible if all(m >> i & 1 for i in range(n) if defends(m, i))]
+    if semantics == "stable":
+        extensions = [m for m in conflict_free if m | hit[m] == full]
+    elif semantics == "complete":
+        extensions = complete
+    elif semantics == "preferred":
+        extensions = [m for m in admissible if not any(o != m and o & m == m for o in admissible)]
+    elif semantics == "grounded":
+        extensions = [m for m in complete if all(m & o == m for o in complete)]
+        if len(extensions) != 1:
+            raise AssertionError("grounded oracle: no unique least complete set")
+    else:
+        raise SchemaError(f"unknown semantics {semantics!r}")
+    if not extensions:
+        return dict.fromkeys(assumptions, "undecided")
+    common = reduce(and_, extensions)
+    return {
+        a: "justified" if common >> i & 1 else "rejected" if hit[common] >> i & 1 else "undecided"
+        for i, a in enumerate(assumptions)
+    }
+
+
+def random_epistemic_spec(seed: int) -> EpistemicSpec:
+    """Seeded random flat epistemic spec: 2-5 atoms, 1-6 assumption literals,
+    some contraries overridden, up to 7 rules with 0-2 body literals (rule
+    cycles among them) that derive no assumption, and a few declared facts."""
+    rng = random.Random(seed)
+    atoms = tuple(f"p{i + 1}" for i in range(rng.randint(2, 5)))
+    literals = [Literal(atom, positive) for atom in atoms for positive in (True, False)]
+    assumptions = tuple(rng.sample(literals, rng.randint(1, min(6, len(literals)))))
+    contraries = {a: rng.choice(literals) for a in assumptions if rng.random() < 0.3}
+    heads = [lit for lit in literals if lit not in assumptions]
+    rules = [
+        EpistemicRule(f"r{k + 1}", rng.choice(heads), tuple(rng.sample(literals, rng.randint(0, 2))))
+        for k in range(rng.randint(0, 7) if heads else 0)
+    ]
+    if len(heads) >= 2 and rng.random() < 0.3:  # close a cycle through two derivable literals
+        x, y = rng.sample(heads, 2)
+        rules += [EpistemicRule(f"r{len(rules) + 1}", x, (y,)), EpistemicRule(f"r{len(rules) + 2}", y, (x,))]
+    facts = tuple(lit for lit in heads if rng.random() < 0.1)
+    return EpistemicSpec(atoms, assumptions, tuple(rules), contraries, facts)
 
 
 def random_aaf(seed: int, max_arguments: int = 12, max_density: float = 0.4,

@@ -359,6 +359,93 @@ class TestEpistemic:
         assert err == "error: justified perceptions are contradictory for atoms: ['p']\n"
 
 
+    CONTRADICTION_DOT = (
+        "digraph aaf {\n  rankdir=LR;\n"
+        '  Y1 [label="Y1: {p} ⊢ p"];\n  Y2 [label="Y2: {¬p} ⊢ ¬p"];\n}\n'
+    )
+
+    def test_justify_reports_the_contradiction_epistemic_raises(self, run, tmp_path):
+        from vdarg import SchemaError, analyze_epistemic, load_agent
+
+        path = tmp_path / "contradiction.json"
+        path.write_text(json.dumps({
+            "language": {"atoms": ["p", "q", "r"], "actions": [], "duties": []},
+            "epistemic": {"assumptions": ["p", "~p"], "contraries": {"p": "q", "~p": "r"}},
+        }), encoding="utf-8")
+        message = "justified perceptions are contradictory for atoms: ['p']"
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            analyze_epistemic(load_agent(path).epistemic, ())
+        code, out, err = run("justify", str(path))
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[lines.index("assumption status:") - 1] == f"diagnostic: {message}"
+        code, out, err = run("justify", str(path), "--format", "json")
+        payload = json.loads(out)
+        assert (code, err, payload["diagnostic"]) == (0, "", message)
+        # Written in place: the key keeps its position after the extensions.
+        keys = list(payload)
+        assert keys.index("diagnostic") == keys.index("extensions") + 1
+        assert run("justify", str(path), "--dot") == (0, self.CONTRADICTION_DOT, "")
+
+    def test_an_undecided_assumption_leaves_no_contradiction_to_report(self, run, tmp_path):
+        path = tmp_path / "contradiction.json"
+        path.write_text(json.dumps({
+            "language": {"atoms": ["p", "q", "r", "s"], "actions": [], "duties": []},
+            "epistemic": {"assumptions": ["p", "~p", "s", "~s"], "contraries": {"p": "q", "~p": "r"}},
+        }), encoding="utf-8")
+        code, out, _ = run("justify", str(path))
+        assert code == 0
+        assert not any(line.startswith("diagnostic:") for line in out.splitlines())
+        code, out, _ = run("justify", str(path), "--format", "json")
+        assert (code, json.loads(out)["diagnostic"]) == (0, None)
+        code, out, err = run("epistemic", str(path), "--perceptions", "")
+        assert (code, err) == (1, "")
+        assert out.splitlines()[-2:] == ["P^J: p, ¬p", "S^J: indeterminate (undecided assumptions: s, ¬s)"]
+
+    def test_justify_diagnoses_exactly_what_analyze_epistemic_raises(self):
+        from vdarg import SEMANTICS, SchemaError, analyze_epistemic
+        from vdarg.cli import _epistemic_framework_payload
+        from vdarg.oracle import random_epistemic_spec
+
+        diagnosed = 0
+        for seed in range(700):  # seeds 347, 391 and 610 hold a justified contradiction
+            spec = random_epistemic_spec(seed)
+            for semantics in SEMANTICS:
+                diagnostic = _epistemic_framework_payload(spec, semantics)["diagnostic"]
+                try:
+                    analyze_epistemic(spec, (), semantics)
+                except SchemaError as exc:
+                    diagnosed += 1
+                    assert diagnostic == str(exc)
+                else:
+                    assert diagnostic is None or diagnostic.endswith("statuses are vacuous")
+        assert diagnosed
+
+    def test_text_reads_the_rejecting_attacker_from_the_payload(self):
+        from vdarg.cli import _epistemic_text
+
+        # Y2 and Y3 both attack Y1 from every extension; the verdict names Y3.
+        payload = {
+            "perceptions": [],
+            "justified_perceptions": [],
+            "situation": ["~a", "~b", "~c"],
+            "undecided": [],
+            "arguments": [
+                {"id": "Y1", "premises": ["a"], "conclusion": "a"},
+                {"id": "Y2", "premises": [], "conclusion": "b"},
+                {"id": "Y3", "premises": [], "conclusion": "c"},
+            ],
+            "attacks": [["Y2", "Y1"], ["Y3", "Y1"]],
+            "extensions": [["Y2", "Y3"]],
+            "diagnostic": None,
+            "assumptions": [{
+                "literal": "a", "argument": "Y1", "status": "rejected", "attackers": ["Y2", "Y3"],
+                "defenders": [], "rejecting_attacker": "Y3",
+            }],
+        }
+        assert "  a: rejected (attacked by Y3)" in _epistemic_text(payload).splitlines()
+
+
 class TestArgumentsDerivedOnce:
     """Each command derives the argument graph at most once: the epistemic
     reports read one derived graph, the practical justify report reads a

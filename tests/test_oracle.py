@@ -5,13 +5,27 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vdarg import ResourceCapError, analyze_practical, solutions
+from vdarg import (
+    SEMANTICS,
+    EpistemicRule,
+    EpistemicSpec,
+    Literal,
+    ResourceCapError,
+    SchemaError,
+    analyze_epistemic,
+    analyze_practical,
+    solutions,
+)
 from vdarg.oracle import (
     RandomVdaSpec,
+    brute_force_assumption_verdicts,
     brute_force_extensions,
     brute_force_solutions,
     random_aaf,
+    random_epistemic_spec,
     random_vda,
 )
 from vdarg.semantics import extensions_for
@@ -94,6 +108,71 @@ class TestBruteForceExtensions:
                 brute_force_extensions(aaf, "complete")
         finally:
             oracle_module.MAX_ORACLE_ARGUMENTS = original
+
+
+class TestBruteForceAssumptionVerdicts:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_matches_analyze_epistemic_under_every_semantics(self, seed, data):
+        spec = random_epistemic_spec(seed)
+        perceptions = data.draw(st.lists(st.sampled_from(spec.atoms), unique=True))
+        facts = set(map(Literal, perceptions)) - set(spec.assumptions)
+        for semantics in SEMANTICS:
+            verdicts = brute_force_assumption_verdicts(spec, perceptions, semantics)
+            # The settled literals: the perception facts and the justified assumptions.
+            settled = facts | {lit for lit, verdict in verdicts.items() if verdict == "justified"}
+            atoms = sorted(lit.atom for lit in settled if not lit.positive and lit.negated in settled)
+            if "undecided" in verdicts.values() or not atoms:
+                result = analyze_epistemic(spec, perceptions, semantics)
+                assert [(v.literal, v.status) for v in result.verdicts] == list(verdicts.items())
+            else:
+                message = f"justified perceptions are contradictory for atoms: {atoms}"
+                with pytest.raises(SchemaError) as raised:
+                    analyze_epistemic(spec, perceptions, semantics)
+                assert str(raised.value) == message
+
+    def test_eldercare_s2(self, eldercare):
+        perceptions = sorted(eldercare.situation("S2").positives)
+        verdicts = brute_force_assumption_verdicts(eldercare.epistemic, perceptions, "grounded")
+        assert {str(lit): v for lit, v in verdicts.items()} == {
+            "fc": "rejected", "lb": "justified", "¬ab": "rejected",
+        }
+
+    def test_nixon_defaults_are_undecided_in_both_preferred_extensions(self, nixon):
+        verdicts = brute_force_assumption_verdicts(nixon.epistemic, [], "preferred")
+        assert set(verdicts.values()) == {"undecided"}
+
+    def test_an_odd_cycle_leaves_every_verdict_undecided(self):
+        # b attacks a, c attacks b and a attacks c: no stable set, an empty grounded one.
+        a, b, c, x, y, z = map(Literal, "abcxyz")
+        spec = EpistemicSpec(
+            tuple("abcxyz"), (a, b, c),
+            (EpistemicRule("r1", x, (b,)), EpistemicRule("r2", y, (c,)), EpistemicRule("r3", z, (a,))),
+            {a: x, b: y, c: z},
+        )
+        for semantics in SEMANTICS:
+            assert set(brute_force_assumption_verdicts(spec, [], semantics).values()) == {"undecided"}
+
+    def test_assumption_count_cap(self, monkeypatch):
+        import vdarg.oracle as oracle_module
+        spec = random_epistemic_spec(0)
+        monkeypatch.setattr(oracle_module, "MAX_ORACLE_ASSUMPTIONS", len(spec.assumptions) - 1)
+        with pytest.raises(ResourceCapError):
+            brute_force_assumption_verdicts(spec, [], "grounded")
+
+    def test_random_specs_cover_overrides_empty_bodies_and_cycles(self):
+        specs = [random_epistemic_spec(seed) for seed in range(200)]
+        assert random_epistemic_spec(7) == specs[7]
+
+        def has_cycle(spec: EpistemicSpec) -> bool:
+            links = {(rule.body[0], rule.head) for rule in spec.rules if len(rule.body) == 1}
+            return any((head, body) in links for body, head in links)
+
+        assert any(spec.contraries for spec in specs)
+        assert any(not rule.body for spec in specs for rule in spec.rules)
+        assert any(map(has_cycle, specs))
+        # Flat: no rule derives an assumption.
+        assert all(rule.head not in spec.assumptions for spec in specs for rule in spec.rules)
 
 
 class TestRandomVda:

@@ -106,6 +106,43 @@ def test_every_snapshot_has_a_case(golden):
     assert sorted(golden) == sorted(CASES)
 
 
+def _option(words: list[str], flag: str, default: str | None) -> str | None:
+    return words[words.index(flag) + 1] if flag in words else default
+
+
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c.startswith("epistemic")])
+def test_every_report_cites_the_verdicts_rejecting_attacker(command):
+    """The epistemic JSON and text forms and the explain --situation text
+    all name the rejecting attacker that adjudicate decided."""
+    words = [word.format(**FILES) for word in command.split()]
+    agent = vdarg.load_agent(words[1])
+    semantics = _option(words, "--semantics", "grounded")
+    situation = None if words[2].startswith("--") else words[2]
+    perceptions = (
+        sorted(agent.situation(situation).positives) if situation
+        else _option(words, "--perceptions", "").split(",")
+    )
+    verdicts = vdarg.analyze_epistemic(agent.epistemic, perceptions, semantics).verdicts
+    rejecting = [v.rejecting_attacker for v in verdicts]
+
+    payload = json.loads(run_case(f"{command} --format json")[1])
+    # A section with no assumptions has no verdicts and no "assumptions" key.
+    assert [entry["rejecting_attacker"] for entry in payload.get("assumptions", ())] == rejecting
+    text = run_case(f"{command} --format text")[1].splitlines()
+    for v in verdicts:
+        if v.rejecting_attacker is not None:
+            assert f"  {v.literal}: rejected (attacked by {v.rejecting_attacker})" in text
+    if situation is None:
+        return
+    _, explained = run_case(f"explain {command.split()[1]} {situation} --situation --semantics {semantics}")
+    blocks = explained.split("subject: ")[1:]
+    assert len(blocks) == len(verdicts)
+    for block, attacker in zip(blocks, rejecting):
+        if attacker is not None:
+            lines = block.splitlines()
+            assert lines[lines.index("attackers:") + 1].startswith(f"  {attacker} in ")
+
+
 # vdarg.__all__ as it stood before the CLI reports were rendered from one payload.
 PUBLIC_NAMES = (
     "Aaf", "AbaFramework", "AcceptanceReport", "ActionMatrix", "AgentFileError",
