@@ -21,10 +21,10 @@ leaf mask is the i-th leaf sentence (the assumptions in declaration order,
 then the axioms, sorted) and bit i of the rule mask is the i-th rule.
 Combining proofs ORs their masks, and two proofs of a sentence are the same
 argument when their masks are equal, since no sentence is both an assumption
-and an axiom.  The support and premise sets are built only for the kept
-arguments, once each, and arguments with the same leaves share their sets.
-An argument keeps its proof; its rule set and its ``TreeNode`` tree are
-built from the proof when first read.
+and an axiom.  A kept argument's premises are its leaves as a tuple in leaf
+order, decoded once per distinct leaf mask and shared, and its support is
+their assumption prefix.  It keeps its proof; its rule set and its
+``TreeNode`` tree are built from the proof when first read.
 
 An argument attacks another when its conclusion is the contrary of an
 assumption in the other's support, so its attackers depend only on which of
@@ -139,11 +139,11 @@ class Argument:
 
     id: str
     conclusion: str
-    support: frozenset[str]   # assumption leaves; attacks target these
-    premises: frozenset[str]  # support plus axiom leaves, as displayed
+    support: tuple[str, ...]   # assumption leaves in declaration order; attacks target these
+    premises: tuple[str, ...]  # all leaves in leaf order: the support, then the axioms sorted
     proof: _Proof
 
-    def __init__(self, id: str, conclusion: str, support: frozenset[str], premises: frozenset[str], proof: _Proof):
+    def __init__(self, id: str, conclusion: str, support: tuple[str, ...], premises: tuple[str, ...], proof: _Proof):
         # Written into the instance dict, as a frozen dataclass cannot set its
         # fields through __setattr__: one store per field, no call.
         fields = self.__dict__
@@ -171,10 +171,10 @@ class Argument:
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _names(mask: int, names: Sequence[str]) -> frozenset[str]:
-    """The names at the set bits of mask: bit i stands for names[i].  The
-    binary digits, lowest first, become the bytes 0 / 1 that select names."""
-    return frozenset(compress(names, bin(mask)[:1:-1].encode().translate(_BITS)))
+def _names(mask: int, names: Sequence[str]) -> tuple[str, ...]:
+    """The names at the set bits of mask, in order: bit i stands for names[i].
+    The binary digits, lowest first, become the bytes 0 / 1 that select names."""
+    return tuple(compress(names, bin(mask)[:1:-1].encode().translate(_BITS)))
 
 
 def _combine(rule: Rule, rule_bit: int, child_options: list[list[_Proof]]) -> Iterator[_Proof]:
@@ -286,15 +286,15 @@ def derive_arguments(
             raise ResourceCapError("max_arguments", max_arguments)
 
     assumption_mask = (1 << len(framework.assumptions)) - 1
-    leaf_sets: dict[int, tuple[frozenset[str], frozenset[str]]] = {}  # leaf mask -> (support, premises)
+    leaf_tuples: dict[int, tuple[tuple[str, ...], tuple[str, ...]]] = {}  # leaf mask -> (support, premises)
     arguments = []
     for i, ((conclusion, leaf_mask, _), proof) in enumerate(collected.items()):
-        sets = leaf_sets.get(leaf_mask)
-        if sets is None:
+        found = leaf_tuples.get(leaf_mask)
+        if found is None:
             premises = _names(leaf_mask, leaves)
-            support = premises if leaf_mask <= assumption_mask else _names(leaf_mask & assumption_mask, leaves)
-            sets = leaf_sets[leaf_mask] = (support, premises)
-        arguments.append(Argument(f"{label}{i + 1}", conclusion, *sets, proof))
+            # The assumptions lead the leaves; a whole-tuple slice is the tuple itself.
+            found = leaf_tuples[leaf_mask] = (premises[:(leaf_mask & assumption_mask).bit_count()], premises)
+        arguments.append(Argument(f"{label}{i + 1}", conclusion, *found, proof))
     return tuple(arguments)
 
 
@@ -325,7 +325,7 @@ def compute_attacks(
         if not has_contrary.issuperset(support):
             missing = next(s for s in support if s not in has_contrary)
             raise SchemaError(f"argument {arg.id!r}: {missing!r} is not an assumption")
-        key = support & hit
+        key = hit.intersection(support)
         found = by_key.get(key)
         if found is None:
             concluded = frozenset(contraries[a] for a in key)

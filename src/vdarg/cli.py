@@ -56,9 +56,10 @@ def _graph_payload(aaf: Aaf, report: AcceptanceReport) -> dict:
     }
 
 
-def _epistemic_graph_payload(aaf: Aaf, report: AcceptanceReport, order, conflict: str | None = None) -> dict:
+def _epistemic_graph_payload(aaf: Aaf, report: AcceptanceReport, conflict: str | None = None) -> dict:
+    # With no axioms, an argument's premises are in leaf order, the display order.
     arguments = [
-        {"id": arg.id, "premises": ordered_premises(arg.premises, order), "conclusion": arg.conclusion}
+        {"id": arg.id, "premises": list(arg.premises), "conclusion": arg.conclusion}
         for arg in aaf.arguments
     ]
     return {"arguments": arguments, **_graph_payload(aaf, report), "diagnostic": report.diagnostic or conflict}
@@ -219,7 +220,7 @@ def _epistemic_framework_payload(spec: EpistemicSpec, semantics: str) -> dict:
         "framework": "epistemic",
         "semantics": semantics,
         "rules": [{"id": r.id, "head": r.head, "body": list(r.body)} for r in build.framework.rules],
-        **_epistemic_graph_payload(aaf, report, build.display_order, contradiction(verdicts)),
+        **_epistemic_graph_payload(aaf, report, contradiction(verdicts, build.facts)),
         "assumptions": {str(v.literal): report.statuses[v.argument_id].status for v in verdicts},
     }
 
@@ -319,7 +320,7 @@ def _epistemic_payload(result: EpistemicResult) -> dict:
         "undecided": [lit.token for lit in result.undecided],
     }
     if result.aaf is not None:
-        payload.update(_epistemic_graph_payload(result.aaf, result.report, result.build.display_order))
+        payload.update(_epistemic_graph_payload(result.aaf, result.report))
         payload["assumptions"] = [
             {
                 "literal": v.literal.token,

@@ -13,7 +13,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-from .aba import argument_text, ordered_premises
+from .aba import argument_text
 from .errors import SchemaError, UnknownNameError
 from .frameworks import EpistemicResult, PracticalResult
 
@@ -175,7 +175,6 @@ def explain_situation(result: EpistemicResult) -> tuple[Explanation, ...]:
     if report is None:
         return ()
     assert aaf is not None
-    order = result.build.display_order if result.build else {}
     by_id, attackers_of = aaf.by_id, aaf.attackers_of
     # Arguments that hold one attacker tuple are in one class, so they share
     # their extensions and, within a verdict, their counter-attackers.  Keyed
@@ -192,7 +191,8 @@ def explain_situation(result: EpistemicResult) -> tuple[Explanation, ...]:
         counters = counters_of.get(key)
         if counters is None:
             counters = counters_of[key] = tuple(d for d in attackers if d in defenders)
-        return AttackerCitation(att_id, att.conclusion, tuple(ordered_premises(att.premises, order)), labels, counters)
+        # An epistemic framework has no axioms, so its leaf order is the display order.
+        return AttackerCitation(att_id, att.conclusion, att.premises, labels, counters)
 
     out: list[Explanation] = []
     for verdict in result.verdicts:

@@ -35,10 +35,11 @@ row's rule to the leaf proofs of its body, as ``derive_arguments`` would.
 
 Epistemic reasoning: perception literals are sentences, designated literals
 are assumptions (contrary defaults to the complement), epistemic rules carry
-over, and true perceptions that are not assumptions become empty-body fact
-rules.  ``adjudicate`` derives the argument graph, decides it and gives each
-assumption its verdict, which every epistemic report reads: the justified
-perceptions and, when every assumption is settled, a justified situation.
+over, and the declared facts and true perceptions that are not assumptions
+become empty-body fact rules.  ``adjudicate`` derives the argument graph,
+decides it and gives each assumption its verdict, which every epistemic
+report reads: the justified perceptions (those facts and the justified
+assumptions) and, when every assumption is settled, a justified situation.
 ``contradiction`` decides when they hold an atom and its negation, for
 ``analyze_epistemic`` to raise and for the framework-only report to print.
 """
@@ -104,11 +105,6 @@ class PracticalBuild:
         if disjunct is None:
             return source, (self.vector_of[source],)
         return self.negation_of[target], (disjunct, self.vector_of[source])
-
-    @cached_property
-    def weak_preference(self) -> Mapping[tuple[str, str], tuple[str, ...]]:
-        """The weak preference pairs, as core.weak_preference_pairs gives them."""
-        return self.preference.pairs()
 
     @cached_property
     def framework(self) -> AbaFramework:
@@ -235,7 +231,7 @@ class PracticalResult:
         leaves = [build.vector_of[a] for a in build.assumption_actions]
         leaves += sorted(u.id for u in build.agent.require_principle())
         leaf_proof = {s: (s, None, (), 1 << i, 0) for i, s in enumerate(leaves)}
-        sets: dict[int, tuple[frozenset[str], frozenset[str]]] = {}  # leaf mask -> (support, premises)
+        leaf_tuples: dict[int, tuple[tuple[str, ...], tuple[str, ...]]] = {}  # leaf mask -> (support, premises)
         arguments = []
         ids = iter(build.arguments)  # the rows whose source qualifies, in rule order
         for k, row in enumerate(build.rows):
@@ -245,11 +241,11 @@ class PracticalResult:
             head, body = build.sentences(row)
             children = tuple(map(leaf_proof.__getitem__, body))
             mask = children[0][3] | vector[3]
-            found = sets.get(mask)
+            found = leaf_tuples.get(mask)
             if found is None:
-                premises = frozenset(body)
-                # The action rules come first, so the vector's own sets exist by now.
-                found = sets[mask] = (premises if row[2] is None else sets[vector[3]][0], premises)
+                # Leaf order: the vector, an assumption, then the disjunct, an axiom.
+                premises = (vector[0],) if row[2] is None else (vector[0], row[2])
+                found = leaf_tuples[mask] = (premises[:1], premises)
             arguments.append(Argument(next(ids), head, *found, (head, f"r{k + 1}", children, mask, 1 << k)))
         return Aaf(tuple(arguments), attackers_of)
 
@@ -348,10 +344,12 @@ class EpistemicBuild:
     framework: AbaFramework
     relevant: frozenset[str]
     display_order: Mapping[str, int]
+    facts: tuple[Literal, ...]  # the declared, then the extra facts that are not assumptions: justified outright
 
 
 def epistemic_framework(spec: EpistemicSpec, extra_facts: Iterable[Literal] = ()) -> EpistemicBuild:
-    """Build the epistemic framework; extra_facts become empty-body rules."""
+    """Build the epistemic framework; the declared facts and extra_facts
+    that are not assumptions become empty-body rules."""
     if not spec.assumptions:
         raise SchemaError("epistemic reasoning needs at least one assumption literal")
     language = frozenset(
@@ -371,9 +369,10 @@ def epistemic_framework(spec: EpistemicSpec, extra_facts: Iterable[Literal] = ()
     # Facts take the ids f1, f2, ... that no epistemic rule already uses.
     used_ids = {rule.id for rule in spec.rules}
     fact_ids = (rid for rid in (f"f{k}" for k in count(1)) if rid not in used_ids)
-    for lit in (*spec.facts, *extra_facts):
+    facts = tuple(dict.fromkeys(lit for lit in (*spec.facts, *extra_facts) if lit not in assumption_set))
+    for lit in facts:
         shape = (str(lit), ())
-        if lit in assumption_set or shape in seen_shapes:
+        if shape in seen_shapes:
             continue
         seen_shapes.add(shape)
         rules.append(Rule(next(fact_ids), shape[0], ()))
@@ -387,7 +386,7 @@ def epistemic_framework(spec: EpistemicSpec, extra_facts: Iterable[Literal] = ()
     )
     relevant = frozenset(assumption_sentences) | frozenset(contraries.values())
     display_order = {s: i for i, s in enumerate(assumption_sentences)}
-    return EpistemicBuild(spec, framework, relevant, display_order)
+    return EpistemicBuild(spec, framework, relevant, display_order, facts)
 
 
 @dataclass(frozen=True)
@@ -472,15 +471,13 @@ def analyze_epistemic(
             spec, semantics, ordered_p, None, None, None, (), pj, situation, (),
         )
 
-    assumption_set = set(spec.assumptions)
-    auto_facts = tuple(Literal(p) for p in ordered_p if Literal(p) not in assumption_set)
-    build = epistemic_framework(spec, extra_facts=auto_facts)
+    build = epistemic_framework(spec, extra_facts=map(Literal, ordered_p))
     aaf, report, verdicts = adjudicate(build, semantics)
 
-    conflict = contradiction(verdicts, auto_facts)
+    conflict = contradiction(verdicts, build.facts)
     if conflict:
         raise SchemaError(conflict)
-    pj = frozenset(auto_facts) | frozenset(v.literal for v in verdicts if v.status == "justified")
+    pj = frozenset(build.facts) | frozenset(v.literal for v in verdicts if v.status == "justified")
     undecided = tuple(v.literal for v in verdicts if v.status == "undecided")
     positives = [lit.atom for lit in pj if lit.positive]
     situation = None if undecided else Situation.from_perceptions(spec.atoms, positives)

@@ -179,8 +179,22 @@ def test_axioms_are_premises_but_not_support():
     )
     args = derive_arguments(fw)
     goal = next(a for a in args if a.conclusion == "goal")
-    assert goal.support == frozenset({"a"})
-    assert goal.premises == frozenset({"a", "u"})
+    assert set(goal.support) == {"a"}
+    assert set(goal.premises) == {"a", "u"}
+
+
+def test_premises_come_in_leaf_order_whatever_their_names():
+    # Leaf order is the assumptions as declared, then the axioms sorted: here
+    # neither is the order of the names, nor the order of the rule body.
+    fw = AbaFramework(
+        language=frozenset({"z", "a", "nz", "na", "y", "x", "goal"}),
+        rules=(Rule("r1", "goal", ("y", "a", "x", "z")),),
+        assumptions=("z", "a"),
+        contraries={"z": "nz", "a": "na"},
+        axioms=frozenset({"y", "x"}),
+    )
+    goal = next(a for a in derive_arguments(fw) if a.conclusion == "goal")
+    assert (goal.support, goal.premises) == (("z", "a"), ("z", "a", "x", "y"))
 
 
 def test_underivable_body_sentence_blocks_the_rule():
@@ -458,10 +472,28 @@ def derivation_outcome(derive, framework, **caps):
         return exc.cap
 
 
+def assert_leaf_order(argument, framework):
+    """The premises are distinct and in leaf order, the assumptions as
+    declared and then the axioms sorted, and the support is their assumption
+    prefix: the same tuple when there is no axiom among them."""
+    position = {s: i for i, s in enumerate(framework.assumptions + tuple(sorted(framework.axioms)))}
+    premises = argument.premises
+    assert isinstance(premises, tuple) and isinstance(argument.support, tuple)
+    assert list(premises) == sorted(set(premises), key=position.__getitem__)
+    assert argument.support == tuple(s for s in premises if s in framework.assumption_set)
+    if len(argument.support) == len(premises):
+        assert argument.support is premises
+
+
 def production_arguments(framework, **caps):
+    """derive_arguments' arguments in the reference's shape, support and
+    premises as sets, once their leaf order is checked."""
+    arguments = derive_arguments(framework, **caps)
+    for a in arguments:
+        assert_leaf_order(a, framework)
     return [
-        (a.id, a.conclusion, a.support, a.premises, a.rules_used, a.tree)
-        for a in derive_arguments(framework, **caps)
+        (a.id, a.conclusion, frozenset(a.support), frozenset(a.premises), a.rules_used, a.tree)
+        for a in arguments
     ]
 
 
@@ -501,6 +533,17 @@ def test_shared_proofs_match_the_reference_derivation(framework, keep_mask, max_
     assert derivation_outcome(production_arguments, framework, **caps) == derivation_outcome(
         reference_arguments, framework, **caps
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(framework=flat_frameworks())
+def test_premises_are_in_leaf_order_and_support_is_their_assumption_prefix(framework):
+    try:
+        arguments = derive_arguments(framework, max_arguments=500)
+    except ResourceCapError:
+        return
+    for argument in arguments:
+        assert_leaf_order(argument, framework)
 
 
 def reference_attacks(arguments, framework):
@@ -760,19 +803,16 @@ def test_derivation_leaves_nothing_for_the_cyclic_collector():
 
 def test_arguments_are_frozen_records():
     proof = ("p", "r1", (("a", None, (), 1, 0),), 1, 1)
-    arg = aba.Argument("A1", "p", frozenset({"a"}), frozenset({"a", "u"}), proof)
+    arg = aba.Argument("A1", "p", ("a",), ("a", "u"), proof)
     assert [f.name for f in fields(arg)] == ["id", "conclusion", "support", "premises", "proof"]
     for name in ("id", "conclusion", "support", "premises", "proof", "tree"):
         with pytest.raises(FrozenInstanceError):
             setattr(arg, name, None)
     assert asdict(arg) == {
-        "id": "A1", "conclusion": "p", "support": frozenset({"a"}), "premises": frozenset({"a", "u"}), "proof": proof,
+        "id": "A1", "conclusion": "p", "support": ("a",), "premises": ("a", "u"), "proof": proof,
     }
-    assert repr(arg) == (
-        "Argument(id='A1', conclusion='p', support=frozenset({'a'}), premises="
-        f"{frozenset({'a', 'u'})!r}, proof={proof!r})"
-    )
-    same = aba.Argument(id="A1", conclusion="p", support=frozenset({"a"}), premises=frozenset({"a", "u"}), proof=proof)
+    assert repr(arg) == f"Argument(id='A1', conclusion='p', support=('a',), premises=('a', 'u'), proof={proof!r})"
+    same = aba.Argument(id="A1", conclusion="p", support=("a",), premises=("a", "u"), proof=proof)
     assert arg == same and hash(arg) == hash(same)
     assert arg != replace(arg, id="A2")
     assert replace(arg, id="A2").id == "A2"

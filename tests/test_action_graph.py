@@ -268,7 +268,7 @@ def assert_graph_is_the_derived_one(agent: VdaAgent, situation_id: str) -> None:
         return [first.setdefault(id(v), i) for i, v in enumerate(values)]
 
     # Arguments share an attacker tuple exactly where the derived ones do, and
-    # arguments with one leaf mask share their support and premise sets.
+    # arguments with one leaf mask share their support and premise tuples.
     assert sharing(aaf.attackers_of.values()) == sharing(attackers.values())
     sets = {(arg.proof[3], id(arg.support), id(arg.premises)) for arg in aaf.arguments}
     assert len(sets) == len({mask for mask, _, _ in sets})

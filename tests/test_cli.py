@@ -387,6 +387,19 @@ class TestEpistemic:
         assert keys.index("diagnostic") == keys.index("extensions") + 1
         assert run("justify", str(path), "--dot") == (0, self.CONTRADICTION_DOT, "")
 
+    def test_justify_reports_a_declared_fact_that_contradicts_a_justified_assumption(self, run, tmp_path):
+        path = tmp_path / "fact.json"
+        path.write_text(json.dumps({
+            "language": {"atoms": ["p", "r"], "actions": [], "duties": []},
+            "epistemic": {"assumptions": ["p"], "contraries": {"p": "r"}, "facts": ["~p"]},
+        }), encoding="utf-8")
+        message = "justified perceptions are contradictory for atoms: ['p']"
+        code, out, err = run("justify", str(path))
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[lines.index("assumption status:") - 1] == f"diagnostic: {message}"
+        assert run("epistemic", str(path), "--perceptions", "") == (2, "", f"error: {message}\n")
+
     def test_an_undecided_assumption_leaves_no_contradiction_to_report(self, run, tmp_path):
         path = tmp_path / "contradiction.json"
         path.write_text(json.dumps({
@@ -408,7 +421,7 @@ class TestEpistemic:
         from vdarg.oracle import random_epistemic_spec
 
         diagnosed = 0
-        for seed in range(700):  # seeds 347, 391 and 610 hold a justified contradiction
+        for seed in range(700):  # 15 of these seeds hold a justified contradiction, 12 through a declared fact
             spec = random_epistemic_spec(seed)
             for semantics in SEMANTICS:
                 diagnostic = _epistemic_framework_payload(spec, semantics)["diagnostic"]

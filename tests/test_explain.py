@@ -164,6 +164,8 @@ def test_situation_citations_match_each_cited_argument(s2_result, semantics):
                 assert att.counter_attackers == tuple(
                     d for d in aaf.attackers_of[att.argument_id] if d in e.defenders
                 )
+                # Cited as the argument holds them, in leaf order, with no copy.
+                assert att.premises is aaf.by_id[att.argument_id].premises
         assert cited > 0
 
 

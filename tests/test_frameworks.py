@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vdarg import (
     ActionMatrix,
@@ -28,13 +31,15 @@ from vdarg import (
     end_to_end_decide,
     epistemic_framework,
     justified_situation,
+    load_agent,
     meets_lower_bounds,
     practical_framework,
     prefers,
     solutions,
 )
-from vdarg.aba import compute_attacks, derive_arguments
-from vdarg.oracle import RandomVdaSpec, brute_force_solutions, random_vda
+from vdarg.aba import compute_attacks, derive_arguments, ordered_premises
+from vdarg.frameworks import adjudicate
+from vdarg.oracle import RandomVdaSpec, brute_force_solutions, random_epistemic_spec, random_vda
 
 
 def rule_shapes(framework):
@@ -124,10 +129,11 @@ class TestPracticalGeneration:
         total = {u.id: sum(u.bounds.values()) for u in principle}
         for sid in eldercare.matrices:
             build = practical_framework(eldercare, sid)
+            pairs = build.preference.pairs()
             for source, target, disjunct in build.rows:
                 if disjunct is None:
                     continue
-                ids = build.weak_preference[(source, target)]
+                ids = pairs[(source, target)]
                 best = max(total[uid] for uid in ids)
                 assert disjunct == min(
                     (uid for uid in ids if total[uid] == best), key=order.index
@@ -151,7 +157,7 @@ class TestPracticalGeneration:
             principle=Principle(tuple(Disjunct(uid, dict(zip(duties, bounds[uid]))) for uid in listed)),
         )
         build = practical_framework(agent, "R")
-        assert build.weak_preference[("a", "b")] == listed
+        assert build.preference.pairs()[("a", "b")] == listed
         cited = [disjunct for source, _, disjunct in build.rows if source == "a" and disjunct is not None]
         assert cited == [listed[1]]
 
@@ -342,6 +348,26 @@ class TestEpistemicGeneration:
         with pytest.raises(FlatnessError):
             derive_arguments(build.framework)
 
+    @staticmethod
+    def _assert_premises_in_display_order(spec, perceptions):
+        build = epistemic_framework(spec, extra_facts=map(Literal, perceptions))
+        aaf, _, _ = adjudicate(build, "grounded")
+        for arg in aaf.arguments:
+            assert arg.premises == tuple(ordered_premises(arg.premises, build.display_order))
+            assert arg.support == arg.premises
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_random_specs_hold_their_premises_in_display_order(self, seed, data):
+        # An epistemic framework has no axioms: its leaf order is the display order.
+        spec = random_epistemic_spec(seed)
+        self._assert_premises_in_display_order(spec, data.draw(st.lists(st.sampled_from(spec.atoms), unique=True)))
+
+    def test_fixtures_hold_their_premises_in_display_order(self, eldercare, nixon, standoff_path):
+        for agent in (eldercare, nixon, load_agent(standoff_path)):
+            for situation in agent.situations.values():
+                self._assert_premises_in_display_order(agent.epistemic, sorted(situation.positives))
+
     def test_fact_rules_come_from_true_non_assumption_perceptions(self, eldercare):
         result = eldercare_epistemic_result(eldercare)
         fact_heads = [
@@ -397,6 +423,30 @@ class TestJustifiedSituation:
         assert [v.status for v in result.verdicts] == ["undecided"] * 3
         assert all(v.defenders == () for v in result.verdicts)
         assert all(v.attackers for v in result.verdicts)
+
+    def test_a_declared_fact_is_justified_outright(self):
+        # q is a fact and no perception: it joins P^J, and S^J holds q, not ¬q.
+        spec = EpistemicSpec(("x", "q"), (Literal("x"),), facts=(Literal("q"),))
+        result = analyze_epistemic(spec, [])
+        assert result.justified_perceptions == frozenset({Literal("x"), Literal("q")})
+        assert result.situation.positives == frozenset({"x", "q"})
+        assert result.build.facts == (Literal("q"),)
+
+    def test_a_declared_fact_can_contradict_a_justified_assumption(self):
+        # p's contrary r is underivable, so p is justified, beside the fact ¬p.
+        spec = EpistemicSpec(("p", "r"), (Literal("p"),), contraries={Literal("p"): Literal("r")},
+                             facts=(Literal("p", False),))
+        with pytest.raises(SchemaError, match=re.escape("justified perceptions are contradictory for atoms: ['p']")):
+            analyze_epistemic(spec, [])
+
+    def test_a_fact_that_is_an_assumption_is_decided_as_one(self):
+        # ¬x is declared both ways; the unattacked x rejects it, so it is no fact.
+        x, not_x = Literal("x"), Literal("x", False)
+        spec = EpistemicSpec(("x", "y"), (x, not_x), contraries={x: Literal("y"), not_x: x}, facts=(not_x,))
+        result = analyze_epistemic(spec, [])
+        assert result.build.facts == ()
+        assert [v.status for v in result.verdicts] == ["justified", "rejected"]
+        assert result.justified_perceptions == frozenset({x})
 
     def test_empty_assumption_set_is_identity(self):
         spec = EpistemicSpec(("x", "y"), ())

@@ -78,7 +78,7 @@ class TestBruteForceExtensions:
         aaf = random_aaf(0)  # placeholder; replaced below with the fixed graph
         from vdarg import Argument, to_aaf
         args = tuple(
-            Argument(f"Y{i}", f"s{i}", frozenset(), frozenset(), (f"s{i}", None, ()))
+            Argument(f"Y{i}", f"s{i}", (), (), (f"s{i}", None, ()))
             for i in range(1, 5)
         )
         aaf = to_aaf(args, {("Y4", "Y1"), ("Y4", "Y3"), ("Y3", "Y2"), ("Y3", "Y4")})
@@ -116,10 +116,10 @@ class TestBruteForceAssumptionVerdicts:
     def test_matches_analyze_epistemic_under_every_semantics(self, seed, data):
         spec = random_epistemic_spec(seed)
         perceptions = data.draw(st.lists(st.sampled_from(spec.atoms), unique=True))
-        facts = set(map(Literal, perceptions)) - set(spec.assumptions)
+        facts = {*spec.facts, *map(Literal, perceptions)} - set(spec.assumptions)
         for semantics in SEMANTICS:
             verdicts = brute_force_assumption_verdicts(spec, perceptions, semantics)
-            # The settled literals: the perception facts and the justified assumptions.
+            # The settled literals: the declared and perception facts and the justified assumptions.
             settled = facts | {lit for lit, verdict in verdicts.items() if verdict == "justified"}
             atoms = sorted(lit.atom for lit in settled if not lit.positive and lit.negated in settled)
             if "undecided" in verdicts.values() or not atoms:

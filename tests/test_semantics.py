@@ -37,12 +37,12 @@ from vdarg.semantics import SEMANTICS, _Graph
 
 
 def placeholder(name: str) -> Argument:
-    return Argument(name, name, frozenset(), frozenset(), (name, None, ()))
+    return Argument(name, name, (), (), (name, None, ()))
 
 
 def make_aaf(n: int, attacks: set[tuple[int, int]]) -> Aaf:
     args = tuple(
-        Argument(f"A{i}", f"s{i}", frozenset(), frozenset(), (f"s{i}", None, ()))
+        Argument(f"A{i}", f"s{i}", (), (), (f"s{i}", None, ()))
         for i in range(1, n + 1)
     )
     return to_aaf(args, ((f"A{i}", f"A{j}") for i, j in attacks))
