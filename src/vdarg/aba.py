@@ -42,8 +42,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, islice, product
+from itertools import chain, islice, product
 
+from .core import names_at
 from .errors import FlatnessError, ResourceCapError, SchemaError, TotalityError
 
 DEFAULT_MAX_DEPTH = 64
@@ -168,15 +169,6 @@ class Argument:
         return frozenset(found)
 
 
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _names(mask: int, names: Sequence[str]) -> tuple[str, ...]:
-    """The names at the set bits of mask, in order: bit i stands for names[i].
-    The binary digits, lowest first, become the bytes 0 / 1 that select names."""
-    return tuple(compress(names, bin(mask)[:1:-1].encode().translate(_BITS)))
-
-
 def _combine(rule: Rule, rule_bit: int, child_options: list[list[_Proof]]) -> Iterator[_Proof]:
     """The proofs of rule's head that apply rule to one proof of each body sentence."""
     head, rule_id = rule.head, rule.id
@@ -291,7 +283,7 @@ def derive_arguments(
     for i, ((conclusion, leaf_mask, _), proof) in enumerate(collected.items()):
         found = leaf_tuples.get(leaf_mask)
         if found is None:
-            premises = _names(leaf_mask, leaves)
+            premises = names_at(leaf_mask, leaves)
             # The assumptions lead the leaves; a whole-tuple slice is the tuple itself.
             found = leaf_tuples[leaf_mask] = (premises[:(leaf_mask & assumption_mask).bit_count()], premises)
         arguments.append(Argument(f"{label}{i + 1}", conclusion, *found, proof))

@@ -27,8 +27,9 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from heapq import heapify, heappop, heappush
+from itertools import compress
 from operator import or_
 
 from .errors import (
@@ -193,6 +194,10 @@ class Principle:
     def by_id(self, disjunct_id: str) -> Disjunct:
         return self.disjuncts[self.index_of(disjunct_id)]
 
+    @cached_property
+    def ranked(self) -> list[tuple[int, Disjunct]]:  # tightest first: greatest total bound, earliest on ties
+        return sorted(enumerate(self.disjuncts), key=lambda ju: (-sum(ju[1].bounds.values()), ju[0]))
+
 
 @dataclass(frozen=True)
 class EpistemicRule:
@@ -258,6 +263,11 @@ class VdaAgent:
             raise SchemaError("agent declares no principle; practical reasoning is unavailable")
         return self.principle
 
+    @cached_property
+    def named_situations(self) -> set[str]:
+        """The situations whose practical sentence names ``check_sentence_names`` found distinct."""
+        return set()
+
 
 def vector_sentence(situation_id: str, action: str) -> str:
     return f"v_{situation_id}({action})"
@@ -302,6 +312,7 @@ def validate_agent(agent: VdaAgent) -> VdaAgent:
         if set(matrix.vectors) != set(lang.actions):
             raise SchemaError(f"matrix {sid!r} must have exactly one vector per action")
         check_sentence_names(agent, sid)
+        agent.named_situations.add(sid)
         for action, vec in matrix.vectors.items():
             if vec.action != action:
                 raise SchemaError(f"matrix {sid!r}: vector keyed {action!r} names {vec.action!r}")
@@ -372,6 +383,15 @@ def strictly_prefers(matrix: ActionMatrix, principle: Principle, alpha: str, bet
     if alpha == beta:
         raise SelfComparisonError(f"strict preference is undefined for {alpha!r} against itself")
     return bool(prefers(matrix, principle, alpha, beta)) and not prefers(matrix, principle, beta, alpha)
+
+
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def names_at(mask: int, names: Sequence[str]) -> tuple[str, ...]:
+    """The names at the set bits of mask, in order: bit i stands for names[i].
+    The binary digits, lowest first, become the bytes 0 / 1 that select names."""
+    return tuple(compress(names, bin(mask)[:1:-1].encode().translate(_BITS)))
 
 
 def set_bits(mask: int) -> Iterator[int]:
@@ -455,9 +475,9 @@ class WeakPreference:
         """Ids of the disjuncts under which action i weakly prefers action k, in principle order."""
         return tuple(uid for uid, mask in zip(self.ids, self.over[i]) if mask >> k & 1)
 
-    def names(self, mask: int) -> list[str]:
+    def names(self, mask: int) -> tuple[str, ...]:
         """The actions in mask, in bit order."""
-        return [self.actions[i] for i in set_bits(mask)]
+        return names_at(mask, self.actions)
 
     def _matrix_order(self) -> list[int]:
         position = {a: i for i, a in enumerate(self.matrix.vectors)}

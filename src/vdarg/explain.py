@@ -9,9 +9,9 @@ that actually differentiate the two actions.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from types import SimpleNamespace
+from itertools import chain
 
 from .aba import argument_text
 from .errors import SchemaError, UnknownNameError
@@ -93,71 +93,76 @@ class Explanation:
 
 
 def _explained(duty_names: Mapping[str, str] | None, **fields) -> Explanation:
-    """The explanation of the fields, built once, with its text rendered from a draft of them."""
-    return Explanation(**fields, text=render_text(SimpleNamespace(**fields), duty_names))
+    """The explanation of the fields, built once, with its text rendered from it."""
+    explanation = Explanation(**fields)
+    explanation.__dict__["text"] = render_text(explanation, duty_names)
+    return explanation
 
 
 def explain_action(result: PracticalResult, action: str) -> Explanation:
-    """Explain one action from the decision, by argument id: each
-    argument's row names its source and disjunct, ``build.sentences``
-    writes out its conclusion and premises, ``result.value_table`` holds the
-    value pairs it cites and ``result.extension_labels`` its source's
-    extensions, so neither the framework nor the argument graph is built."""
+    """Explain one action from the masks and the action-level report, building no per-argument
+    view: each attacker is a source in its attack mask, cited with the id and disjunct ``build``
+    gives its row, ``result.value_table``'s value pairs and its counter-attackers."""
     build = result.build
     disjuncts, vectors, duty_names = result.value_table
     if action not in vectors:
         raise UnknownNameError(f"unknown action {action!r}")
-    report, arguments, attackers_of = result.report, build.arguments, build.attackers_of
+    decided, (labelled, all_labels, extension_labels, counters) = result.action_report, result.extension_index
+    actions, attack_of, number = build.preference.actions, build.attack, build.argument_number
+    t = actions.index(action)
+    attack = attack_of[t]
     target_vector = vectors[action]
 
-    def citation(att_id: str, extensions: tuple[str, ...] | None = None) -> AttackerCitation:
-        # By default, every extension that holds the attacker.
-        row = arguments[att_id]
-        source, _, disjunct = row
-        conclusion, premises = build.sentences(row)
-        return AttackerCitation(
-            att_id, conclusion, premises, result.extension_labels[source] if extensions is None else extensions,
-            result.counter_attackers[source], disjunct, disjuncts[disjunct][1], source, vectors[source],
-            target_vector,
-        )
+    def cite(rows: Iterable[tuple[int, str, str, tuple[str, ...] | None]]) -> tuple[AttackerCitation, ...]:
+        # Per (source, id, disjunct, labels or None for all holding it), written as build.sentences writes it.
+        conclusion, vector_of = build.negation_of[action], build.vector_of
+        return tuple([
+            AttackerCitation(
+                att_id, conclusion, (disjunct, vector_of[source := actions[s]]),
+                extension_labels[source] if labels is None else labels,
+                counters[s],
+                disjunct, disjuncts[disjunct][1], source, vectors[source], target_vector,
+            )
+            for s, att_id, disjunct, labels in rows
+        ])
 
-    def rank(att_id: str) -> tuple[int, str]:
-        source, _, disjunct = arguments[att_id]
-        return (disjuncts[disjunct][0], source)
+    def rank(cited: tuple[int, str]) -> tuple[int, str]:  # its disjunct earliest in the principle, then its name
+        return (disjuncts[cited[1]][0], actions[cited[0]])
 
-    def rejection(attackers: tuple[str, ...]) -> tuple[AttackerCitation, ...] | None:
+    def rejection() -> tuple[AttackerCitation, ...] | None:
         # Per extension, the best-ranked accepted attacker; None if one accepts none.
-        labels: dict[str, list[str]] = {}
-        for label, ext in report.labelled():
-            accepted = [a for a in attackers if a in ext.members]
-            if not accepted:
+        labels: dict[tuple[int, str], list[str]] = {}
+        for label, members in labelled:
+            if not attack & members:
                 return None
-            labels.setdefault(min(accepted, key=rank), []).append(label)
-        return tuple(citation(a, tuple(ls)) for a, ls in labels.items()) or None
+            labels.setdefault(min(build.cited(t, attack & members).items(), key=rank), []).append(label)
+        return cite((s, f"X{number(s, t)}", u, tuple(ls)) for (s, u), ls in labels.items()) or None
 
-    arg_id = result.action_argument.get(action)
+    arg_id = None
     premises = extensions = attackers = defenders = ()
-    if arg_id is None:
+    if not build.qualifying >> t & 1:
         verdict = "rejected-a-priori"
     else:
-        premises = build.sentences(arguments[arg_id])[1]
-        status = report.statuses[arg_id]
-        rejected = None if status.in_some else rejection(attackers_of[action])
+        arg_id = f"X{number(t, t)}"
+        premises = (build.vector_of[action],)  # as build.sentences writes an action rule's body
+        status = decided.statuses[action]
+        rejected = None if status.in_some else rejection()
         if rejected is not None:
             verdict, attackers = "rejected", rejected
-            extensions = tuple(label for label, _ in report.labelled())
+            extensions = all_labels
         else:
             verdict = (
                 "justified-skeptical" if status.in_all
                 else "justified-credulous" if status.in_some else "indeterminate"
             )
-            extensions = result.extension_labels[action]
-            attackers = tuple(map(citation, attackers_of[action]))
+            extensions = extension_labels[action]
+            if attack:
+                # Row (s, t)'s id is t's first number plus the rank of s in its attack mask.
+                cited = enumerate(build.cited(t, attack).items(), build.first[t])
+                attackers = cite((s, f"X{k}", u, None) for k, (s, u) in cited)
             if status.in_some:
-                defenders = tuple(sorted(
-                    {c for att in attackers for c in att.counter_attackers},
-                    key=build.argument_index.__getitem__,
-                ))
+                # Each attacker's counter-attackers are its own block's, so in source order they come in argument order.
+                defenders = tuple(chain.from_iterable(att.counter_attackers for att in attackers))
     return _explained(
         duty_names, subject=action, kind="action", verdict=verdict, argument_id=arg_id,
         premises=premises, extensions=extensions, attackers=attackers,
@@ -233,15 +238,14 @@ def _duty_phrase(
     differing: set[str],
     duty_names: Mapping[str, str],
 ) -> str:
-    parts = []
-    for duty, value in vector:
-        if duty not in differing or value == 0:
-            continue
-        if duty not in duty_names:
-            raise SchemaError(f"duty table is missing {duty!r}")
-        verb = "satisfying" if value > 0 else "violating"
-        parts.append(f"{verb} {duty_names[duty]} with degree {abs(value)} ({duty}:{value})")
-    return ", ".join(parts)
+    try:
+        return ", ".join([
+            f"{'satisfying' if value > 0 else 'violating'} {duty_names[duty]} with degree {abs(value)} ({duty}:{value})"
+            for duty, value in vector
+            if value and duty in differing
+        ])
+    except KeyError as missing:
+        raise SchemaError(f"duty table is missing {missing.args[0]!r}") from None
 
 
 def render_text(explanation: Explanation, duty_names: Mapping[str, str] | None = None) -> str:
@@ -308,10 +312,9 @@ def _rejection_gloss(e: Explanation, duty_names: Mapping[str, str] | None) -> st
     att = next((a for a in e.attackers if a.source_vector and a.target_vector), None)
     if att is None:
         return ""
-    names = dict(duty_names) if duty_names else {d: d for d, _ in att.source_vector}
-    source = dict(att.source_vector)
+    names = duty_names or {d: d for d, _ in att.source_vector}
     target = dict(att.target_vector)
-    differing = {d for d in source if source[d] - target[d] != 0}
+    differing = {d for d, value in att.source_vector if value != target[d]}
     if not differing:
         return (
             f"Under {att.disjunct}, no duty differentiates '{att.source_action}' "

@@ -13,25 +13,21 @@ Each rule is fixed by one row (source, target, disjunct): an action rule is
 (a, a, None) and a principle rule is (s, t, u).  Every rule body holds one
 vector and at most one axiom, so each rule whose body is derivable gives
 exactly one argument: every action rule, and every principle rule whose
-source qualifies.  The compiler reads the principle rows off the weak
-preference masks (``core.WeakPreference``), target by target, and numbers
-the arguments X1, X2... in rule order without deriving them.  An argument's
-support is its source's vector and its attackers are the principle
-arguments that target that action, so the compiler indexes the attackers
-by source.  An argument's status is fixed by its support (flat ABA:
-Bondarenko, Dung, Kowalski & Toni 1997; Toni 2014): the arguments of one
-action share their attackers and are decided as one class.  So the
-decision runs the semantics on the qualifying actions, each attacked by
-the qualifying sources of the rows against it, and lifts the verdicts to
-the argument ids: each argument holds its source's status record, and an
-extension holds the arguments whose source is in it.  The actions are
-passed in the order of their last argument, which keeps the extensions in
-the argument graph's order.  ``PracticalBuild.sentences``
-writes a row out as a rule's head and body, and the ABA framework is built
-from the rows only when ``PracticalBuild.framework`` is first read.  So is
-the argument graph, with no derivation, when ``PracticalResult.aaf`` is read,
-as the commands that print rules and arguments do: each argument applies its
-row's rule to the leaf proofs of its body, as ``derive_arguments`` would.
+source qualifies.  An argument's support, its source's vector, fixes its
+status (flat ABA: Bondarenko, Dung, Kowalski & Toni 1997; Toni 2014), so
+the compiler keeps masks over the actions: the qualifying mask, the weak
+preference masks (``core.WeakPreference``) and, per qualifying target, its
+attack mask (the qualifying sources in the OR of its ``under`` masks) and
+its first argument number.  Arguments X1, X2... are numbered in rule order,
+the action arguments first; row (s, t)'s id is t's first number plus the
+rank of s in t's attack mask.  The decision runs the semantics on the
+qualifying actions in the order of their last argument, which keeps the
+extensions in the argument graph's order, and explanations read the masks
+and that action-level report.  Every per-argument structure is a view built
+on first read: the rows, the argument ids, the decision lifted to them
+(``PracticalResult.report``), the ABA framework and the argument graph,
+whose arguments apply their rows' rules to the leaf proofs of their bodies,
+as ``derive_arguments`` would.
 
 Epistemic reasoning: perception literals are sentences, designated literals
 are assumptions (contrary defaults to the complement), epistemic rules carry
@@ -48,14 +44,15 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress, count
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import NamedTuple
 
 from . import aba, core
 from .aba import DEFAULT_MAX_ARGUMENTS, AbaFramework, Aaf, Argument, Rule, compute_attacks, derive_arguments, union_of
 from .core import (
+    Disjunct,
     EpistemicSpec,
     Literal,
     Situation,
@@ -82,22 +79,36 @@ Row = tuple[str, str, str | None]
 class PracticalBuild:
     agent: VdaAgent
     situation_id: str
-    vector_of: Mapping[str, str]      # action -> vector sentence
-    negation_of: Mapping[str, str]    # action -> negated vector sentence
-    assumption_actions: tuple[str, ...]
-    relevant: frozenset[str]
-    display_order: Mapping[str, int]  # the language in canonical sentence order, for premise rendering
-    preference: core.WeakPreference  # over the actions in language order
-    rows: tuple[Row, ...]  # one per rule, in rule order: rule r<k> is rows[k-1]
-    # Argument id -> the row of the rule it applies: the rows whose source
-    # qualifies, in rule order.
-    arguments: Mapping[str, Row]
-    # Qualifying action -> the ids of the arguments concluding its contrary,
-    # in argument order; the actions come in language order.
-    attackers_of: Mapping[str, tuple[str, ...]]
-    # Qualifying action -> the qualifying actions whose arguments attack it;
-    # both in language order.
-    action_attackers: Mapping[str, tuple[str, ...]]
+    vector_of: Mapping[str, str]  # action -> vector sentence
+    negation_of: Mapping[str, str]  # action -> negated vector sentence
+    ranked: list[tuple[int, Disjunct]]  # the principle's disjuncts, tightest first
+    # Bit i of every mask stands for the i-th action in language order.
+    preference: core.WeakPreference
+    qualifying: int  # the actions whose vectors are assumptions
+    attack: tuple[int, ...]  # per action: the qualifying sources of the rows against it; 0 unless it qualifies
+    first: tuple[int, ...]  # per qualifying action: the number k of X<k>, its block's first attacker
+
+    def argument_number(self, source: int, target: int) -> int:
+        """The k of X<k>, the argument of row (source, target): target's first
+        number plus the rank of source in its attack mask, or the action's."""
+        if source == target:
+            return (self.qualifying & ((1 << source) - 1)).bit_count() + 1
+        return self.first[target] + (self.attack[target] & ((1 << source) - 1)).bit_count()
+
+    @cached_property
+    def assumption_actions(self) -> tuple[str, ...]:  # the qualifying actions
+        return self.preference.names(self.qualifying)
+
+    @cached_property
+    def relevant(self) -> frozenset[str]:  # the actions and the assumptions' contraries
+        return frozenset(self.preference.actions) | frozenset(map(self.negation_of.get, self.assumption_actions))
+
+    @cached_property
+    def display_order(self) -> Mapping[str, int]:
+        """The language in canonical sentence order, for premise rendering."""
+        ordered = [u.id for u in self.agent.require_principle()]
+        ordered += [*self.vector_of.values(), *self.negation_of.values(), *self.preference.actions]
+        return {s: i for i, s in enumerate(ordered)}
 
     def sentences(self, row: Row) -> tuple[str, tuple[str, ...]]:
         """A rule's head and its body, in display order."""
@@ -105,6 +116,48 @@ class PracticalBuild:
         if disjunct is None:
             return source, (self.vector_of[source],)
         return self.negation_of[target], (disjunct, self.vector_of[source])
+
+    def cited(self, target: int, sources: int) -> dict[int, str]:
+        """Each source in the mask, in language order -> the disjunct its row against
+        target cites: the first in rank order whose ``under[target]`` mask holds it."""
+        under, ranked = self.preference.under[target], self.ranked
+        cited: dict[int, str] = {}
+        # names_at decodes a dense mask faster than set_bits.
+        dense = sources.bit_count() >= 8
+        for s in core.names_at(sources, range(sources.bit_length())) if dense else core.set_bits(sources):
+            for j, u in ranked:
+                if under[j] >> s & 1:
+                    cited[s] = u.id
+                    break
+        return cited
+
+    @cached_property
+    def rows(self) -> tuple[Row, ...]:
+        """One per rule, in rule order: rule r<k> is rows[k-1].  The action
+        rules come first; then, for each qualifying target, one row per
+        source in the OR of its ``under`` masks."""
+        actions, under = self.preference.actions, self.preference.under
+        rows: list[Row] = [(a, a, None) for a in self.assumption_actions]
+        for t in core.set_bits(self.qualifying):
+            rows += [(actions[s], actions[t], uid) for s, uid in self.cited(t, reduce(or_, under[t], 0)).items()]
+        return tuple(rows)
+
+    @cached_property
+    def attackers_of(self) -> Mapping[str, tuple[str, ...]]:
+        """Qualifying action -> the ids of the arguments concluding its
+        contrary, in argument order; the actions come in language order."""
+        actions, first, attack = self.preference.actions, self.first, self.attack
+        return {
+            actions[t]: tuple(map("X%d".__mod__, range(first[t], first[t] + attack[t].bit_count())))
+            for t in core.set_bits(self.qualifying)
+        }
+
+    @cached_property
+    def arguments(self) -> Mapping[str, Row]:
+        """Argument id -> the row of the rule it applies: the rows whose source
+        qualifies, in rule order."""
+        qualifying = set(self.assumption_actions)
+        return {f"X{k}": row for k, row in enumerate([row for row in self.rows if row[0] in qualifying], 1)}
 
     @cached_property
     def framework(self) -> AbaFramework:
@@ -118,106 +171,96 @@ class PracticalBuild:
             axioms=frozenset(u.id for u in self.agent.require_principle()),
         )
 
-    @cached_property
-    def argument_index(self) -> Mapping[str, int]:
-        """Position of each argument id in argument order."""
-        return {arg_id: i for i, arg_id in enumerate(self.arguments)}
-
 
 def practical_framework(agent: VdaAgent, situation_id: str) -> PracticalBuild:
-    """Compile one situation's practical rules, their arguments and each
-    qualifying action's attackers."""
+    """Compile one situation's weak preference masks and each qualifying
+    action's attack mask, and number the arguments block by block."""
     matrix = agent.matrix_for(situation_id)
     principle = agent.require_principle()
     actions = agent.language.actions
 
-    qualifying = [a for a in actions if matrix.vector(a).satisfies_some_duty()]
+    qualifying = sum(1 << i for i, a in enumerate(actions) if matrix.vector(a).satisfies_some_duty())
     if not qualifying:
         # Nothing satisfies any duty: the least-violating action should still
         # win, so every vector becomes an assumption with an action rule.
-        qualifying = list(actions)
-    qualifying_set = set(qualifying)
+        qualifying = (1 << len(actions)) - 1
 
-    check_sentence_names(agent, situation_id)
+    if situation_id not in agent.named_situations:
+        check_sentence_names(agent, situation_id)
+        agent.named_situations.add(situation_id)
     vector_of = {a: vector_sentence(situation_id, a) for a in actions}
     negation_of = {a: negation_sentence(situation_id, a) for a in actions}
 
     # Bit i of every mask stands for actions[i], so set bits come in language order.
     preference = core.WeakPreference(matrix, principle, actions)
-    qualifies = [a in qualifying_set for a in actions]
-    # The tightest qualifying disjunct: greatest total bound, earliest on ties.
-    ranked = sorted(enumerate(principle), key=lambda ju: (-sum(ju[1].bounds.values()), ju[0]))
-    rows: list[Row] = [(a, a, None) for a in qualifying]
-    # The action rules come first, and their sources qualify.
-    arguments: dict[str, Row] = {f"X{k}": row for k, row in enumerate(rows, 1)}
-    attackers: dict[str, tuple[str, ...]] = {}
-    action_attackers: dict[str, tuple[str, ...]] = {}  # the sources of attackers_of
-    # Only assumptions have contraries to conclude: one block of rows per
-    # qualifying target, its sources in language order, each citing the
-    # first disjunct in rank order that qualifies it.
-    for t, target in enumerate(actions):
-        if not qualifies[t]:
-            continue
-        under = preference.under[t]
-        cited: dict[int, str] = {}
-        seen = 0
-        for j, u in ranked:
-            fresh = under[j] & ~seen
-            if fresh:
-                seen |= fresh
-                cited.update(dict.fromkeys(core.set_bits(fresh), u.id))
-        ids: list[str] = []
-        sources: list[str] = []
-        for k in core.set_bits(seen):
-            source = actions[k]
-            row = (source, target, cited[k])
-            rows.append(row)
-            if qualifies[k]:  # its vector is an assumption, so the body is derivable
-                arg_id = f"X{len(arguments) + 1}"
-                arguments[arg_id] = row
-                ids.append(arg_id)
-                sources.append(source)
-        attackers[target] = tuple(ids)
-        action_attackers[target] = tuple(sources)
-    if len(arguments) > DEFAULT_MAX_ARGUMENTS:  # derive_arguments' cap, checked before any semantics runs
+    # Only assumptions have contraries to conclude, and only a qualifying
+    # source's vector is an assumption, so only its rows give arguments.
+    attack = [0] * len(actions)
+    first = [0] * len(actions)
+    numbered = qualifying.bit_count()  # the action arguments come first
+    for t in core.set_bits(qualifying):
+        attack[t] = reduce(or_, preference.under[t], 0) & qualifying
+        first[t] = numbered + 1
+        numbered += attack[t].bit_count()
+    if numbered > DEFAULT_MAX_ARGUMENTS:  # derive_arguments' cap, checked before any semantics runs
         raise ResourceCapError("max_arguments", DEFAULT_MAX_ARGUMENTS)
-
-    ordered = (
-        [u.id for u in principle]
-        + [vector_of[a] for a in actions]
-        + [negation_of[a] for a in actions]
-        + list(actions)
-    )
-    return PracticalBuild(
-        agent=agent,
-        situation_id=situation_id,
-        vector_of=vector_of,
-        negation_of=negation_of,
-        assumption_actions=tuple(qualifying),
-        relevant=frozenset(actions) | frozenset(negation_of[a] for a in qualifying),
-        display_order={s: i for i, s in enumerate(ordered)},
-        preference=preference,
-        rows=tuple(rows),
-        arguments=arguments,
-        attackers_of=attackers,
-        action_attackers=action_attackers,
-    )
+    ranked, attack, first = principle.ranked, tuple(attack), tuple(first)
+    return PracticalBuild(agent, situation_id, vector_of, negation_of, ranked, preference, qualifying, attack, first)
 
 
 @dataclass(frozen=True)
 class PracticalResult:
-    """Practical pipeline output: the decision, made on the qualifying actions
-    and lifted to the compiler's argument index, and the action verdicts; the
-    argument graph is built on first read."""
+    """Practical pipeline output: the decision, made on the qualifying actions,
+    and the action verdicts.  The decision lifted to the argument ids and the
+    argument graph are views, built on first read."""
 
     build: PracticalBuild
     semantics: str
-    report: AcceptanceReport  # extensions and statuses name the arguments X1, X2...
-    action_argument: Mapping[str, str]
+    # The decision on the qualifying actions, each attacked by the sources in
+    # its attack mask; the actions come in the order of their last argument.
+    action_report: AcceptanceReport
     action_status: Mapping[str, str]
     justified_actions: frozenset[str]
     credulous_actions: frozenset[str]
     solutions: frozenset[str]
+
+    @cached_property
+    def action_argument(self) -> Mapping[str, str]:  # qualifying action -> its action argument: X1, X2... first
+        return {a: f"X{k}" for k, a in enumerate(self.build.preference.names(self.build.qualifying), 1)}
+
+    @cached_property
+    def report(self) -> AcceptanceReport:
+        """The decision lifted to the argument ids X1, X2...: each argument
+        holds its source's status record, and an extension holds the
+        arguments whose source is in it."""
+        decided, semantics = self.action_report, self.semantics
+        ids = self.build.arguments.keys()
+        sources = [*map(itemgetter(0), self.build.arguments.values())]
+        status_of = decided.statuses
+        return AcceptanceReport(
+            semantics,
+            tuple([
+                Extension(frozenset(compress(ids, map(ext.members.__contains__, sources))), semantics)
+                for ext in decided.extensions
+            ]),
+            dict(zip(ids, map(status_of.__getitem__, sources))),
+            decided.vacuous,
+            decided.diagnostic,
+        )
+
+    @cached_property
+    def extension_index(self) -> ExtensionIndex:
+        """Where the action-level extensions stand, for explanations."""
+        build, decided = self.build, self.action_report
+        bit = {a: 1 << i for i, a in enumerate(build.preference.actions)}
+        masks = [sum(map(bit.__getitem__, ext.members)) for ext in decided.extensions]
+        labels = dict.fromkeys(decided.statuses, ())
+        for label, ext in decided.labelled():
+            for a in ext.members:
+                labels[a] += (label,)
+        all_labels = tuple(label for label, _ in decided.labelled())
+        counters = CounterAttackers(build, reduce(or_, masks, 0))
+        return ExtensionIndex(tuple(zip(all_labels, masks)), all_labels, labels, counters)
 
     @cached_property
     def aaf(self) -> Aaf:
@@ -250,26 +293,6 @@ class PracticalResult:
         return Aaf(tuple(arguments), attackers_of)
 
     @cached_property
-    def extension_labels(self) -> Mapping[str, tuple[str, ...]]:
-        """Each qualifying action's extension labels: the extensions that
-        hold its arguments, which are one class with one membership."""
-        labelled = self.report.labelled()
-        return {
-            action: tuple(label for label, ext in labelled if arg_id in ext.members)
-            for action, arg_id in self.action_argument.items()
-        }
-
-    @cached_property
-    def counter_attackers(self) -> Mapping[str, tuple[str, ...]]:
-        """Each qualifying action's attackers that are in some extension, in
-        argument order: the accepted arguments that strike back for it."""
-        statuses = self.report.statuses
-        return {
-            action: tuple(a for a in attackers if statuses[a].in_some)
-            for action, attackers in self.build.attackers_of.items()
-        }
-
-    @cached_property
     def value_table(self) -> ValueTable:
         """What explanations cite, built once per result."""
         agent = self.build.agent
@@ -281,6 +304,28 @@ class PracticalResult:
         )
 
 
+class CounterAttackers(dict[int, tuple[str, ...]]):
+    """Qualifying action's position -> the ids of its attackers that some
+    extension holds, in argument order, each found on first read."""
+
+    def __init__(self, build: PracticalBuild, in_some: int):
+        self.build, self.in_some = build, in_some
+
+    def __missing__(self, s: int) -> tuple[str, ...]:
+        in_some, attack = self.in_some, self.build.attack[s]
+        self[s] = found = tuple(
+            [f"X{k}" for k, c in enumerate(core.set_bits(attack), self.build.first[s]) if in_some >> c & 1]
+        ) if attack & in_some else ()
+        return found
+
+
+class ExtensionIndex(NamedTuple):
+    labelled: tuple[tuple[str, int], ...]  # each extension's label and its mask over the actions
+    all_labels: tuple[str, ...]
+    labels: Mapping[str, tuple[str, ...]]  # qualifying action -> the labels of the extensions that hold it
+    counters: CounterAttackers
+
+
 class ValueTable(NamedTuple):
     disjuncts: Mapping[str, tuple[int, tuple[tuple[str, int], ...]]]  # id -> (position, bound pairs)
     vectors: Mapping[str, tuple[tuple[str, int], ...]]  # action -> its duty vector's value pairs
@@ -289,51 +334,31 @@ class ValueTable(NamedTuple):
 
 def analyze_practical(agent: VdaAgent, situation_id: str, semantics: str = "grounded") -> PracticalResult:
     build = practical_framework(agent, situation_id)
+    actions, attack = build.preference.actions, build.attack
     # Decide on the actions; an argument's status is its source action's.
-    # Extensions are ordered by their node masks.  An action's arguments are
-    # one class, so two extensions' argument masks compare at the last
-    # argument of the last action in one and not the other: with the actions
-    # in the order of their last argument, the action masks compare the same way.
-    ids = build.arguments.keys()
-    sources = [*map(itemgetter(0), build.arguments.values())]
-    last_first = dict.fromkeys(reversed(sources))  # each action at its last argument, read backwards
-    decided = acceptance_status({a: build.action_attackers[a] for a in reversed(last_first)}, semantics)
+    # Extensions are ordered by their node masks, and two extensions'
+    # argument masks compare at the last argument of the last action in one
+    # and not the other: with the actions in the order of their last argument
+    # (in the last block whose attack mask holds them, else their action
+    # argument), the action masks compare the same way.
+    backwards: list[int] = []
+    seen = 0
+    for mask in (*reversed(attack), build.qualifying):
+        fresh = mask & ~seen
+        if fresh:
+            seen |= fresh
+            backwards += reversed([*core.set_bits(fresh)])
+    names = build.preference.names
+    decided = acceptance_status({actions[a]: names(attack[a]) for a in reversed(backwards)}, semantics)
+
     status_of = decided.statuses
-    report = AcceptanceReport(
-        semantics,
-        tuple([
-            Extension(frozenset(compress(ids, map(ext.members.__contains__, sources))), semantics)
-            for ext in decided.extensions
-        ]),
-        dict(zip(ids, map(status_of.__getitem__, sources))),
-        decided.vacuous,
-        decided.diagnostic,
-    )
-
-    # The action rules come first, one per qualifying action.
-    action_argument = dict(zip(build.assumption_actions, build.arguments))
-    action_status: dict[str, str] = {}
-    justified: set[str] = set()
-    credulous: set[str] = set()
-    for a in agent.language.actions:
-        status = status_of.get(a)
-        if status is None:
-            action_status[a] = "rejected-a-priori"
-            continue
-        action_status[a] = status.status
-        if status.in_all:
-            justified.add(a)
-        if status.in_some:
-            credulous.add(a)
-
     return PracticalResult(
         build=build,
         semantics=semantics,
-        report=report,
-        action_argument=action_argument,
-        action_status=action_status,
-        justified_actions=frozenset(justified),
-        credulous_actions=frozenset(credulous),
+        action_report=decided,
+        action_status={a: status_of[a].status if a in status_of else "rejected-a-priori" for a in actions},
+        justified_actions=frozenset(a for a, status in status_of.items() if status.in_all),
+        credulous_actions=frozenset(a for a, status in status_of.items() if status.in_some),
         solutions=build.preference.solutions(),
     )
 
@@ -463,21 +488,21 @@ def analyze_epistemic(
         raise SchemaError(f"perceptions outside the atom set: {sorted(unknown)}")
     ordered_p = tuple(a for a in spec.atoms if a in perception_set)
 
-    if not spec.assumptions:
-        # Identity stage: nothing to adjudicate.
-        pj = frozenset(Literal(p) for p in ordered_p)
-        situation = Situation.from_perceptions(spec.atoms, ordered_p)
-        return EpistemicResult(
-            spec, semantics, ordered_p, None, None, None, (), pj, situation, (),
-        )
+    build = aaf = report = None
+    verdicts: tuple[AssumptionVerdict, ...] = ()
+    if spec.assumptions:
+        build = epistemic_framework(spec, extra_facts=map(Literal, ordered_p))
+        aaf, report, verdicts = adjudicate(build, semantics)
+        facts = build.facts
+    else:
+        # Identity stage: nothing to adjudicate, so the declared facts and
+        # the perceptions are justified outright.
+        facts = (*spec.facts, *map(Literal, ordered_p))
 
-    build = epistemic_framework(spec, extra_facts=map(Literal, ordered_p))
-    aaf, report, verdicts = adjudicate(build, semantics)
-
-    conflict = contradiction(verdicts, build.facts)
+    conflict = contradiction(verdicts, facts)
     if conflict:
         raise SchemaError(conflict)
-    pj = frozenset(build.facts) | frozenset(v.literal for v in verdicts if v.status == "justified")
+    pj = frozenset(facts) | frozenset(v.literal for v in verdicts if v.status == "justified")
     undecided = tuple(v.literal for v in verdicts if v.status == "undecided")
     positives = [lit.atom for lit in pj if lit.positive]
     situation = None if undecided else Situation.from_perceptions(spec.atoms, positives)
@@ -526,7 +551,7 @@ def end_to_end_decide(
 ) -> Decision:
     """Justified situation, then practical reasoning on its registered matrix."""
     epistemic_result: EpistemicResult | None = None
-    if agent.epistemic is not None and agent.epistemic.assumptions:
+    if agent.epistemic is not None:
         epistemic_result = analyze_epistemic(agent.epistemic, perceptions, semantics)
         if epistemic_result.undecided:
             raise IndeterminateSituationError(str(lit) for lit in epistemic_result.undecided)

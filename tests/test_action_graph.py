@@ -246,6 +246,10 @@ def wide_agent(seed: int, actions: int, slack: int) -> VdaAgent:
     return workloads["wide_agent"](seed, actions, slack)
 
 
+def test_a_wide_agent_agrees_with_the_argument_graph():
+    assert_agrees_with_reference(wide_agent(0, 80, 1), "R", "grounded")
+
+
 def assert_graph_is_the_derived_one(agent: VdaAgent, situation_id: str) -> None:
     """result.aaf, written from the rows, against derive_arguments and
     compute_attacks over the framework the rows write out."""
@@ -323,16 +327,19 @@ class TestDecisionBuildsNoArguments:
 
 
 def test_decide_and_explain_leave_the_framework_and_the_argument_graph_unbuilt(eldercare):
-    """Deciding and explaining read the rows, so neither builds the ABA
-    framework view or the argument graph."""
+    """Deciding and explaining read the masks and the action-level report, so
+    neither builds a per-argument view: the rows, the argument ids and
+    attackers, the lifted report, the ABA framework or the argument graph."""
     inputs = [(eldercare, "S1"), (eldercare, "S2J")]
     inputs += [random_vda(RandomVdaSpec(seed=seed, actions=5)) for seed in range(10)]
     for agent, sid in inputs:
         for semantics in SEMANTICS:
             result = analyze_practical(agent, sid, semantics)
             explain_all_actions(result)
-            assert "framework" not in vars(result.build)
+            for view in ("framework", "rows", "arguments", "attackers_of"):
+                assert view not in vars(result.build)
             assert "aaf" not in vars(result)
+            assert "report" not in vars(result)
 
 
 def assert_action_nodes_decide_as_argument_nodes(agent: VdaAgent, situation_id: str, semantics: str) -> None:

@@ -37,6 +37,7 @@ from vdarg import (
     prefers,
     solutions,
 )
+import vdarg.frameworks
 from vdarg.aba import compute_attacks, derive_arguments, ordered_premises
 from vdarg.frameworks import adjudicate
 from vdarg.oracle import RandomVdaSpec, brute_force_solutions, random_epistemic_spec, random_vda
@@ -222,6 +223,21 @@ class TestPracticalGeneration:
         )
         with pytest.raises(SchemaError):
             practical_framework(agent, "R")
+        with pytest.raises(SchemaError):  # a refused situation is not remembered as checked
+            practical_framework(agent, "R")
+
+    def test_sentence_names_are_checked_once_per_agent_and_situation(self, eldercare, monkeypatch):
+        calls = []
+        check = vdarg.frameworks.check_sentence_names
+        monkeypatch.setattr(vdarg.frameworks, "check_sentence_names", lambda *args: calls.append(args) or check(*args))
+        agent = replace(eldercare)  # built in code, so no loader has checked it
+        for _ in range(2):
+            analyze_practical(agent, "S1")
+        assert calls == [(agent, "S1")]
+        analyze_practical(agent, "S2J")
+        assert calls == [(agent, "S1"), (agent, "S2J")]
+        analyze_practical(eldercare, "S1")  # the loader checked every situation of its agent
+        assert len(calls) == 2
 
     def test_missing_matrix(self, eldercare):
         with pytest.raises(UnknownNameError):
@@ -454,6 +470,21 @@ class TestJustifiedSituation:
         assert result.situation.positives == frozenset({"y"})
         assert result.aaf is None
 
+    def test_the_identity_stage_justifies_declared_facts(self):
+        # With no assumption there is nothing to adjudicate, and the fact q
+        # still joins P^J: S^J holds q, not ¬q.
+        spec = EpistemicSpec(("x", "q"), (), facts=(Literal("q"),))
+        result = analyze_epistemic(spec, [])
+        assert result.justified_perceptions == frozenset({Literal("q")})
+        assert result.situation.positives == frozenset({"q"})
+        assert (result.build, result.aaf, result.verdicts) == (None, None, ())
+
+    def test_a_fact_that_contradicts_a_perception_raises_in_the_identity_stage(self):
+        spec = EpistemicSpec(("x", "q"), (), facts=(Literal("q", False),))
+        assert analyze_epistemic(spec, []).justified_perceptions == frozenset({Literal("q", False)})
+        with pytest.raises(SchemaError, match=re.escape("justified perceptions are contradictory for atoms: ['q']")):
+            analyze_epistemic(spec, ["q"])
+
 
 class TestEndToEnd:
     def test_s2_decides_on_the_justified_matrix(self, eldercare):
@@ -487,6 +518,15 @@ class TestEndToEnd:
         assert decision.situation_id == "S1"
         direct = analyze_practical(eldercare, "S1")
         assert decision.practical.action_status == direct.action_status
+
+    def test_declared_facts_decide_without_epistemic_assumptions(self, eldercare):
+        # The facts r and rm, with lb, mrt and ab perceived, make S2J's valuation.
+        facts = (Literal("r"), Literal("rm"))
+        agent = replace(eldercare, epistemic=EpistemicSpec(eldercare.language.atoms, (), facts=facts))
+        decision = end_to_end_decide(agent, ["lb", "mrt", "ab"])
+        assert decision.situation_id == "S2J"
+        assert decision.epistemic.justified_perceptions == frozenset(map(Literal, ["lb", "mrt", "ab", "r", "rm"]))
+        assert decision.practical.action_status == analyze_practical(eldercare, "S2J").action_status
 
     def test_fact_rules_skip_the_ids_of_epistemic_rules(self, eldercare):
         spec = eldercare.epistemic
