@@ -18,8 +18,8 @@ from vdarg import (
     end_to_end_decide,
     explain_situation,
     load_agent,
-    render_argument,
 )
+from vdarg.aba import argument_text
 
 scenario = Path(__file__).resolve().parent.parent / "scenarios" / "eldercare.json"
 agent = load_agent(scenario)
@@ -29,7 +29,7 @@ print("Raw perceptions:", ", ".join(perceptions), "(fc and lb conflict)")
 result = analyze_epistemic(agent.epistemic, perceptions)
 print("\nEpistemic arguments:")
 for arg in result.aaf.arguments:
-    print(f"  {arg.id}: {render_argument(arg, result.build.display_order)}")
+    print(f"  {arg.id}: {argument_text(arg.premises, arg.conclusion)}")
 print("Extension:", sorted(result.report.extensions[0].members))
 
 print("\nPer-assumption verdicts:")

@@ -18,8 +18,8 @@ from vdarg import (
     epistemic_framework,
     extensions_for,
     load_agent,
-    render_argument,
 )
+from vdarg.aba import argument_text
 
 scenario = Path(__file__).resolve().parent.parent / "scenarios" / "nixon.json"
 agent = load_agent(scenario)
@@ -30,7 +30,7 @@ aaf = Aaf(arguments, compute_attacks(arguments, build.framework))
 
 print("Arguments:")
 for arg in aaf.arguments:
-    print(f"  {arg.id}: {render_argument(arg, build.display_order)}")
+    print(f"  {arg.id}: {argument_text(arg.premises, arg.conclusion)}")
 print("Attacks:", sorted(aaf.attacks))
 
 for semantics in ("grounded", "complete", "preferred", "stable"):

@@ -15,10 +15,10 @@ prefer it, are one mask AND per duty.  Strict preference holds when some
 disjunct covers the forward differential and none covers the backward one:
 per action, the first union of masks without the second.  Solutions are the
 actions that can head a total ordering of the matrix with no
-strict-preference inversion; with an acyclic strict relation these are
-exactly the undominated actions.  Solutions, orderings and the practical
-compiler read the masks; the map of weakly preferred pairs is a view of
-them, built only when asked for.
+strict-preference inversion: none when the depth-first cycle search over the
+strict masks finds a cycle, which ``solve`` names, else exactly the
+undominated actions.  Solutions, orderings and the practical compiler read
+the masks; the weakly preferred pairs and the strict graph by name are views.
 """
 
 from __future__ import annotations
@@ -501,36 +501,37 @@ class WeakPreference:
     def solutions(self) -> frozenset[str]:
         """The actions that can head an ordering with no strict-preference
         inversion: none under a strict cycle, else the undominated ones."""
-        if _has_cycle(self.strict):
+        if _find_cycle(self.strict, range(len(self.strict))) is not None:
             return frozenset()
         return frozenset(a for a, dominators in zip(self.actions, self.dominators) if not dominators)
 
 
-def _has_cycle(successors: Sequence[int]) -> bool:
-    """Whether a graph, given as each node's successor mask, has a cycle.
+def _find_cycle(successors: Sequence[int], roots: Iterable[int]) -> list[int] | None:
+    """A cycle of the graph whose node i has the successor mask successors[i],
+    as its nodes in path order, or None when the graph has none.
 
-    Depth first: a successor of the node on top of the path that is itself
-    on the path closes a cycle.  Each node is pushed and popped once.
+    Depth first (Tarjan 1972), from each root in the order given that is not
+    yet finished: the node on top of the path steps to its lowest successor
+    bit that is not finished, and finishes when it has none.  A successor
+    already on the path closes the cycle that runs from it to the top.
     """
-    unvisited = (1 << len(successors)) - 1
-    while unvisited:
-        root = unvisited & -unvisited
-        unvisited ^= root
-        path, stack = root, [root.bit_length() - 1]
+    unfinished, seen = (1 << len(successors)) - 1, 0  # seen and unfinished: on the path
+    for root in roots:
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        stack = [root]
         while stack:
-            node = stack[-1]
-            if successors[node] & path:
-                return True
-            fresh = successors[node] & unvisited
+            fresh = successors[stack[-1]] & unfinished
             if fresh:
                 low = fresh & -fresh
-                unvisited ^= low
-                path |= low
+                if low & seen:
+                    return stack[stack.index(low.bit_length() - 1):]
+                seen |= low
                 stack.append(low.bit_length() - 1)
             else:
-                path ^= 1 << node
-                stack.pop()
-    return False
+                unfinished ^= 1 << stack.pop()
+    return None
 
 
 def weak_preference_pairs(matrix: ActionMatrix, principle: Principle) -> dict[tuple[str, str], tuple[str, ...]]:
@@ -549,39 +550,6 @@ def strict_preference_graph(matrix: ActionMatrix, principle: Principle) -> dict[
     return WeakPreference(matrix, principle).strict_graph()
 
 
-def _find_cycle(graph: Mapping[str, frozenset[str]]) -> tuple[str, ...] | None:
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in graph}
-    parent: dict[str, str] = {}
-    for root in graph:
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(sorted(graph[root])))]
-        color[root] = GREY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    parent[nxt] = node
-                    stack.append((nxt, iter(sorted(graph[nxt]))))
-                    advanced = True
-                    break
-                if color[nxt] == GREY:
-                    cycle = [nxt, node]
-                    cur = node
-                    while cur != nxt:
-                        cur = parent[cur]
-                        cycle.append(cur)
-                    cycle.reverse()
-                    return tuple(cycle[:-1])
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-    return None
-
-
 @dataclass(frozen=True)
 class SolutionReport:
     """Solution set plus a diagnostic when a strict-preference cycle blocks ordering."""
@@ -598,17 +566,22 @@ def solution_report(agent: VdaAgent, situation_id: str) -> SolutionReport:
 def solution_report_from_pairs(weak: WeakPreference) -> SolutionReport:
     """The solution report of a matrix, given its weak preference as masks.
 
-    Strict preference is ``over & ~under`` per action, and a depth-first
-    pass over those masks tells whether it has a cycle.  Only then is the
-    strict graph written out by name, and the cycle reported is the one a
-    name-ordered search from the actions in matrix order meets first.
+    Strict preference is ``over & ~under`` per action, and one depth-first
+    search over those masks tells whether it has a cycle.  Without a solution
+    it runs again, bit r renumbered to the r-th action by name and rooted in
+    matrix order, to report the cycle a name-ordered search meets first.
     """
     solutions = weak.solutions()
     if solutions or not weak.actions:
         return SolutionReport(solutions)
     # Every action is dominated only under a strict cycle, and no total
     # ordering avoids inverting a strict edge inside it.
-    return SolutionReport(solutions, _find_cycle(weak.strict_graph()))
+    by_name = sorted(range(len(weak.actions)), key=weak.actions.__getitem__)
+    rank = {i: r for r, i in enumerate(by_name)}
+    bit = [1 << rank[i] for i in range(len(by_name))]  # a mask's new bits sum to the renumbered mask
+    successors = [sum(names_at(weak.strict[i], bit)) for i in by_name]
+    cycle = _find_cycle(successors, map(rank.__getitem__, weak._matrix_order()))
+    return SolutionReport(solutions, tuple(weak.actions[by_name[r]] for r in cycle))
 
 
 def solutions(agent: VdaAgent, situation_id: str) -> frozenset[str]:

@@ -225,10 +225,6 @@ class PracticalResult:
     solutions: frozenset[str]
 
     @cached_property
-    def action_argument(self) -> Mapping[str, str]:  # qualifying action -> its action argument: X1, X2... first
-        return {a: f"X{k}" for k, a in enumerate(self.build.preference.names(self.build.qualifying), 1)}
-
-    @cached_property
     def report(self) -> AcceptanceReport:
         """The decision lifted to the argument ids X1, X2...: each argument
         holds its source's status record, and an extension holds the
@@ -368,7 +364,6 @@ class EpistemicBuild:
     spec: EpistemicSpec
     framework: AbaFramework
     relevant: frozenset[str]
-    display_order: Mapping[str, int]
     facts: tuple[Literal, ...]  # the declared, then the extra facts that are not assumptions: justified outright
 
 
@@ -410,8 +405,7 @@ def epistemic_framework(spec: EpistemicSpec, extra_facts: Iterable[Literal] = ()
         axioms=frozenset(),
     )
     relevant = frozenset(assumption_sentences) | frozenset(contraries.values())
-    display_order = {s: i for i, s in enumerate(assumption_sentences)}
-    return EpistemicBuild(spec, framework, relevant, display_order, facts)
+    return EpistemicBuild(spec, framework, relevant, facts)
 
 
 @dataclass(frozen=True)

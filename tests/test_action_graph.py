@@ -150,10 +150,13 @@ def assert_agrees_with_reference(agent: VdaAgent, situation_id: str, semantics: 
     result = analyze_practical(agent, situation_id, semantics)
     explanations = explain_all_actions(result)  # before the argument graph exists
     assert "aaf" not in vars(result)
+    # Each qualifying action's argument, in language order: X1, X2... come first.
+    build = result.build
+    action_argument = {a: f"X{k}" for k, a in enumerate(build.preference.names(build.qualifying), 1)}
 
     assert result.action_status == ref.action_status
     assert list(result.action_status) == list(ref.action_status)
-    assert result.action_argument == ref.action_argument
+    assert action_argument == ref.action_argument
     assert result.justified_actions == ref.justified_actions
     assert result.credulous_actions == ref.credulous_actions
     assert explanations == tuple(reference_explanation(ref, a) for a in agent.language.actions)
@@ -165,7 +168,7 @@ def assert_agrees_with_reference(agent: VdaAgent, situation_id: str, semantics: 
         arg.tree.rule_id for arg in ref.aaf.arguments
     ]
     for target, attackers in result.build.attackers_of.items():
-        assert attackers == ref.aaf.attackers_of[result.action_argument[target]]
+        assert attackers == ref.aaf.attackers_of[action_argument[target]]
 
     # The decision over the argument index equals the argument-level report, in order.
     assert result.aaf == ref.aaf
@@ -173,7 +176,7 @@ def assert_agrees_with_reference(agent: VdaAgent, situation_id: str, semantics: 
     assert list(result.report.statuses.items()) == list(ref.report.statuses.items())
     # Each argument holds its support action's status record, not a copy.
     statuses = result.report.statuses
-    assert all(statuses[x] is statuses[result.action_argument[result.build.arguments[x][0]]] for x in statuses)
+    assert all(statuses[x] is statuses[action_argument[build.arguments[x][0]]] for x in statuses)
     assert (result.report.vacuous, result.report.diagnostic) == (ref.report.vacuous, ref.report.diagnostic)
 
 

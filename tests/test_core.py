@@ -30,6 +30,7 @@ from vdarg import (
     duty_differential,
     ethical_ordering,
     explain_all_actions,
+    load_agent,
     meets_lower_bounds,
     practical_framework,
     prefers,
@@ -551,9 +552,52 @@ def _reference_rows(agent, situation_id):
     ]
 
 
+def _reference_find_cycle(graph):
+    """The first cycle a depth-first search by name meets: roots in the
+    graph's key order, each node's successors in sorted order, with colour
+    and parent maps.  A successor still on the path (grey) closes the cycle,
+    returned from it to the node that reached it."""
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = {v: WHITE for v in graph}
+    parent = {}
+    for root in graph:
+        if color[root] != WHITE:
+            continue
+        stack = [(root, iter(sorted(graph[root])))]
+        color[root] = GREY
+        while stack:
+            node, it = stack[-1]
+            for nxt in it:
+                if color[nxt] == WHITE:
+                    color[nxt] = GREY
+                    parent[nxt] = node
+                    stack.append((nxt, iter(sorted(graph[nxt]))))
+                    break
+                if color[nxt] == GREY:
+                    cycle = [node]
+                    while cycle[-1] != nxt:
+                        cycle.append(parent[cycle[-1]])
+                    return tuple(reversed(cycle))
+            else:
+                color[node] = BLACK
+                stack.pop()
+    return None
+
+
+def _has_cycle_by_peeling(graph):
+    """Whether the graph has a cycle: peeling off the nodes with no remaining
+    predecessor leaves some node behind."""
+    remaining = set(graph)
+    while True:
+        sources = remaining.difference(*(graph[v] for v in remaining))
+        if not sources:
+            return bool(remaining)
+        remaining -= sources
+
+
 def _reference_solution_report(matrix, weak):
     strict = _reference_strict_graph(list(matrix.vectors), weak)
-    cycle = core._find_cycle(strict)
+    cycle = _reference_find_cycle(strict)
     if cycle is not None:
         return frozenset(), cycle
     dominated = set().union(*strict.values())
@@ -594,6 +638,45 @@ class TestMasksAgainstPairs:
             assert result.solutions == solution_report(agent, "R").actions
 
 
+class TestCycleSearch:
+    """The mask search behind solutions and solve against the name-ordered
+    reference, on random digraphs whose name order, matrix order and bit
+    order differ."""
+
+    @staticmethod
+    def _random_preference(rng):
+        """A WeakPreference over 2-12 actions whose strict masks are a random
+        digraph without self-loops, the other masks left as computed."""
+        n = rng.randint(2, 12)
+        names = [f"a{k}" for k in rng.sample(range(30), n)]  # a10 sorts before a2
+        rng.shuffle(names)
+        matrix = ActionMatrix("R", {a: DutyVector(a, {"d": 0}) for a in names})
+        weak = core.WeakPreference(matrix, Principle((Disjunct("u", {"d": 0}),)), rng.sample(names, n))
+        p = rng.uniform(0.05, 0.4)
+        weak.strict = [sum(1 << k for k in range(n) if k != i and rng.random() < p) for i in range(n)]
+        weak.dominators = [sum(1 << k for k in range(n) if weak.strict[k] >> i & 1) for i in range(n)]
+        graph = {a: frozenset(weak.names(weak.strict[weak.actions.index(a)])) for a in names}
+        return weak, graph
+
+    def test_the_cycle_and_its_existence_match_the_reference(self):
+        rng = random.Random(11)
+        cycles = mixed = 0
+        for _ in range(2500):
+            weak, graph = self._random_preference(rng)
+            mixed += len({tuple(graph), weak.actions, tuple(sorted(graph))}) == 3
+            expected = _reference_find_cycle(graph)
+            assert (expected is not None) == _has_cycle_by_peeling(graph)
+            report = core.solution_report_from_pairs(weak)
+            assert report.cycle == expected
+            if expected is None:
+                assert report.actions == frozenset(graph) - set().union(*graph.values())
+            else:
+                assert report.actions == weak.solutions() == frozenset()
+                assert all(b in graph[a] for a, b in zip(expected, expected[1:] + expected[:1]))
+            cycles += expected is not None
+        assert cycles > 2500 // 3 and mixed > 2500 // 2
+
+
 class TestNoPairDictOnTheHotPaths:
     """Deciding and solving read the masks: with weak_preference_pairs
     stubbed to raise they give the same results and the same bytes."""
@@ -630,3 +713,18 @@ class TestNoPairDictOnTheHotPaths:
         monkeypatch.setattr(core.WeakPreference, "pairs", refuse)
         for sid in eldercare.matrices:
             assert len(explain_all_actions(analyze_practical(eldercare, sid))) == len(eldercare.language.actions)
+
+    def test_solve_and_decide_a_strict_cycle_with_the_strict_graph_stubbed(self, monkeypatch):
+        cycle_path = GOLDEN / "cycle.json"
+        golden = json.loads((GOLDEN / "cli.json").read_text(encoding="utf-8"))
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("solve and the decision search the strict masks, not the strict graph")
+
+        monkeypatch.setattr(core.WeakPreference, "strict_graph", refuse)
+        for fmt in ("text", "json"):
+            snapshot = golden[f"solve {{cycle}} R --format {fmt}"]
+            assert snapshot["code"] == 1
+            assert self._solve(cycle_path, "R", fmt) == (snapshot["code"], snapshot["stdout"])
+        result = analyze_practical(load_agent(cycle_path), "R")
+        assert result.solutions == frozenset()
