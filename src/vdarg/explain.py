@@ -107,7 +107,7 @@ def explain_action(result: PracticalResult, action: str) -> Explanation:
     disjuncts, vectors, duty_names = result.value_table
     if action not in vectors:
         raise UnknownNameError(f"unknown action {action!r}")
-    decided, (labelled, all_labels, extension_labels, counters) = result.action_report, result.extension_index
+    statuses, (labelled, counters) = result.action_report.statuses, result.extension_index
     actions, attack_of, number = build.preference.actions, build.attack, build.argument_number
     t = actions.index(action)
     attack = attack_of[t]
@@ -119,7 +119,7 @@ def explain_action(result: PracticalResult, action: str) -> Explanation:
         return tuple([
             AttackerCitation(
                 att_id, conclusion, (disjunct, vector_of[source := actions[s]]),
-                extension_labels[source] if labels is None else labels,
+                statuses[source].extensions if labels is None else labels,
                 counters[s],
                 disjunct, disjuncts[disjunct][1], source, vectors[source], target_vector,
             )
@@ -145,17 +145,17 @@ def explain_action(result: PracticalResult, action: str) -> Explanation:
     else:
         arg_id = f"X{number(t, t)}"
         premises = (build.vector_of[action],)  # as build.sentences writes an action rule's body
-        status = decided.statuses[action]
+        status = statuses[action]
         rejected = None if status.in_some else rejection()
         if rejected is not None:
             verdict, attackers = "rejected", rejected
-            extensions = all_labels
+            extensions = tuple([label for label, _ in labelled])
         else:
             verdict = (
                 "justified-skeptical" if status.in_all
                 else "justified-credulous" if status.in_some else "indeterminate"
             )
-            extensions = extension_labels[action]
+            extensions = status.extensions
             if attack:
                 # Row (s, t)'s id is t's first number plus the rank of s in its attack mask.
                 cited = enumerate(build.cited(t, attack).items(), build.first[t])
@@ -180,24 +180,19 @@ def explain_situation(result: EpistemicResult) -> tuple[Explanation, ...]:
     if report is None:
         return ()
     assert aaf is not None
-    by_id, attackers_of = aaf.by_id, aaf.attackers_of
-    # Arguments that hold one attacker tuple are in one class, so they share
-    # their extensions and, within a verdict, their counter-attackers.  Keyed
-    # by the tuple's identity, for this call only: aaf keeps every tuple alive.
-    labels_of: dict[int, tuple[str, ...]] = {}
+    by_id, attackers_of, statuses = aaf.by_id, aaf.attackers_of, report.statuses
+    # Arguments that hold one attacker tuple share, within a verdict, their
+    # counter-attackers.  Keyed by the tuple's identity, for this verdict
+    # only: aaf keeps every tuple alive.
 
     def cite(att_id: str, defenders: frozenset[str], counters_of: dict[int, tuple[str, ...]]) -> AttackerCitation:
         att = by_id[att_id]
         attackers = attackers_of[att_id]
-        key = id(attackers)
-        labels = labels_of.get(key)
-        if labels is None:
-            labels = labels_of[key] = report.extension_labels_containing(att_id)
-        counters = counters_of.get(key)
+        counters = counters_of.get(id(attackers))
         if counters is None:
-            counters = counters_of[key] = tuple(d for d in attackers if d in defenders)
+            counters = counters_of[id(attackers)] = tuple(d for d in attackers if d in defenders)
         # An epistemic framework has no axioms, so its leaf order is the display order.
-        return AttackerCitation(att_id, att.conclusion, att.premises, labels, counters)
+        return AttackerCitation(att_id, att.conclusion, att.premises, statuses[att_id].extensions, counters)
 
     out: list[Explanation] = []
     for verdict in result.verdicts:
@@ -217,7 +212,7 @@ def explain_situation(result: EpistemicResult) -> tuple[Explanation, ...]:
             None, subject=str(verdict.literal), kind="assumption", verdict=mapped,
             argument_id=verdict.argument_id,
             premises=(str(verdict.literal),),
-            extensions=report.extension_labels_containing(verdict.argument_id),
+            extensions=statuses[verdict.argument_id].extensions,
             attackers=tuple(cite(a, defenders, counters_of) for a in attacker_ids),
             defenders=verdict.defenders,
             semantics=result.semantics,

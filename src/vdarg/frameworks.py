@@ -249,14 +249,8 @@ class PracticalResult:
         """Where the action-level extensions stand, for explanations."""
         build, decided = self.build, self.action_report
         bit = {a: 1 << i for i, a in enumerate(build.preference.actions)}
-        masks = [sum(map(bit.__getitem__, ext.members)) for ext in decided.extensions]
-        labels = dict.fromkeys(decided.statuses, ())
-        for label, ext in decided.labelled():
-            for a in ext.members:
-                labels[a] += (label,)
-        all_labels = tuple(label for label, _ in decided.labelled())
-        counters = CounterAttackers(build, reduce(or_, masks, 0))
-        return ExtensionIndex(tuple(zip(all_labels, masks)), all_labels, labels, counters)
+        labelled = tuple((label, sum(map(bit.__getitem__, ext.members))) for label, ext in decided.labelled())
+        return ExtensionIndex(labelled, CounterAttackers(build, reduce(or_, (mask for _, mask in labelled), 0)))
 
     @cached_property
     def aaf(self) -> Aaf:
@@ -317,8 +311,6 @@ class CounterAttackers(dict[int, tuple[str, ...]]):
 
 class ExtensionIndex(NamedTuple):
     labelled: tuple[tuple[str, int], ...]  # each extension's label and its mask over the actions
-    all_labels: tuple[str, ...]
-    labels: Mapping[str, tuple[str, ...]]  # qualifying action -> the labels of the extensions that hold it
     counters: CounterAttackers
 
 

@@ -14,7 +14,8 @@ to its attackers: an Aaf's ``attackers_of``, or the qualifying actions
 of a practical decision, each with the actions whose arguments attack it
 (see ``frameworks``).  ``_Graph`` groups the
 nodes into classes itself, and ``acceptance_status`` decides one status
-record per class, which all members of the class share.
+record per class, which all members of the class share; each record carries
+the labels of the extensions that hold its class.
 
 A complete extension is fixed by its IN set S: S is complete exactly when
 it is conflict-free and S = F(S), where F(S) is the set of classes that S
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
 
 from .aba import Aaf
 from .core import set_bits
@@ -210,6 +210,7 @@ class ArgumentStatus:
     status: str
     in_all: bool
     in_some: bool
+    extensions: tuple[str, ...] = ()  # the labels of the extensions that hold it, in extension order
 
     @property
     def credulously_accepted(self) -> bool:
@@ -225,15 +226,12 @@ class AcceptanceReport:
     vacuous: bool = False
     diagnostic: str | None = None
 
-    @cached_property
-    def _labelled(self) -> tuple[tuple[str, Extension], ...]:
-        return tuple((f"E{i + 1}", ext) for i, ext in enumerate(self.extensions))
-
     def labelled(self) -> tuple[tuple[str, Extension], ...]:
-        return self._labelled
+        return _labelled(self.extensions)
 
-    def extension_labels_containing(self, argument_id: str) -> tuple[str, ...]:
-        return tuple(label for label, ext in self._labelled if argument_id in ext.members)
+
+def _labelled(extensions: tuple[Extension, ...]) -> tuple[tuple[str, Extension], ...]:
+    return tuple((f"E{i}", ext) for i, ext in enumerate(extensions, 1))
 
 
 def acceptance_status(
@@ -248,7 +246,8 @@ def acceptance_status(
     With no extension at all every status is vacuous, with in_all and
     in_some both false.  Members of a class share their attackers and their
     extensions, so each class gets one status record, read off its first
-    member, and every member maps to that record.
+    member, and every member maps to that record.  The record carries the
+    labels of the extensions that hold the class, as ``labelled`` writes them.
     """
     g = _Graph(aaf)
     exts = _extensions(g, semantics, budget)
@@ -260,14 +259,15 @@ def acceptance_status(
         )
     member_sets = [ext.members for ext in exts]
     in_all = frozenset.intersection(*member_sets)
-    in_some = frozenset.union(*member_sets)
-    credulous_only = in_some - in_all
+    credulous_only = frozenset.union(*member_sets) - in_all
+    labelled = _labelled(exts)
     records = []
     for attackers, members in zip(g.keys, g.members):
         first = g.ids[members[0]]
+        labels = tuple([label for label, ext in labelled if first in ext.members])
         if first in in_all:
             status = "skeptically-justified"
-        elif first in in_some:
+        elif labels:
             status = "credulously-justified"
         elif not in_all.isdisjoint(attackers):
             status = "skeptically-rejected"
@@ -275,5 +275,5 @@ def acceptance_status(
             status = "credulously-rejected"
         else:
             status = "undecided"
-        records.append(ArgumentStatus(status, first in in_all, first in in_some))
+        records.append(ArgumentStatus(status, first in in_all, bool(labels), labels))
     return AcceptanceReport(semantics, exts, dict(zip(g.ids, map(records.__getitem__, g.class_at))))

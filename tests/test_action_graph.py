@@ -71,7 +71,11 @@ def reference_explanation(ref: SimpleNamespace, action: str) -> Explanation:
     principle = agent.require_principle()
     report, aaf = ref.report, ref.aaf
     attackers_of = aaf.attackers_of
+    labelled = report.labelled()
     row_of = {rule.id: row for rule, row in zip(build.framework.rules, build.rows, strict=True)}
+
+    def labels_of(arg_id):
+        return tuple(label for label, ext in labelled if arg_id in ext.members)
 
     def principle_row(att_id):
         """The (source, target, disjunct) row of a principle rule's argument, else Nones."""
@@ -102,7 +106,7 @@ def reference_explanation(ref: SimpleNamespace, action: str) -> Explanation:
 
     def rejection(arg_id):
         chosen = {}
-        for label, ext in report.labelled():
+        for label, ext in labelled:
             accepted = [a for a in attackers_of[arg_id] if a in ext.members]
             if not accepted:
                 return None
@@ -123,16 +127,14 @@ def reference_explanation(ref: SimpleNamespace, action: str) -> Explanation:
         rejected = None if status.in_some else rejection(arg_id)
         if rejected is not None:
             verdict, attackers = "rejected", rejected
-            extensions = tuple(label for label, _ in report.labelled())
+            extensions = tuple(label for label, _ in labelled)
         else:
             verdict = (
                 "justified-skeptical" if status.in_all
                 else "justified-credulous" if status.in_some else "indeterminate"
             )
-            extensions = report.extension_labels_containing(arg_id)
-            attackers = tuple(
-                citation(a, report.extension_labels_containing(a)) for a in attackers_of[arg_id]
-            )
+            extensions = labels_of(arg_id)
+            attackers = tuple(citation(a, labels_of(a)) for a in attackers_of[arg_id])
             if status.in_some:
                 defenders = tuple(
                     sorted({c for att in attackers for c in att.counter_attackers}, key=aaf.index.__getitem__)
@@ -174,9 +176,12 @@ def assert_agrees_with_reference(agent: VdaAgent, situation_id: str, semantics: 
     assert result.aaf == ref.aaf
     assert [e.members for e in result.report.extensions] == [e.members for e in ref.report.extensions]
     assert list(result.report.statuses.items()) == list(ref.report.statuses.items())
-    # Each argument holds its support action's status record, not a copy.
+    # Each argument holds its support action's status record, not a copy,
+    # and that record names the lifted extensions that hold the argument.
     statuses = result.report.statuses
     assert all(statuses[x] is statuses[action_argument[build.arguments[x][0]]] for x in statuses)
+    labelled = result.report.labelled()
+    assert all(st.extensions == tuple(label for label, ext in labelled if x in ext.members) for x, st in statuses.items())
     assert (result.report.vacuous, result.report.diagnostic) == (ref.report.vacuous, ref.report.diagnostic)
 
 

@@ -151,16 +151,23 @@ def _chain_spec(length: int) -> EpistemicSpec:
 
 @pytest.mark.parametrize("semantics", ["grounded", "complete", "preferred"])
 def test_situation_citations_match_each_cited_argument(s2_result, semantics):
-    # Citations of arguments with one attacker tuple share their extension
-    # labels and, per verdict, their counter-attackers; each must still be
-    # the cited argument's own.
+    # Citations of arguments with one attacker tuple share their status
+    # record's labels and, per verdict, their counter-attackers; each must
+    # still be the cited argument's own.
     for result in (s2_result, analyze_epistemic(_chain_spec(5), ["c0"], semantics)):
         report, aaf = result.report, result.aaf
+        labelled = report.labelled()
+
+        def labels_of(arg_id):
+            return tuple(label for label, ext in labelled if arg_id in ext.members)
+
+        assert all(st.extensions == labels_of(x) for x, st in report.statuses.items())
         cited = 0
         for e in explain_situation(result):
+            assert e.extensions == labels_of(e.argument_id)
             for att in e.attackers:
                 cited += 1
-                assert att.extensions == report.extension_labels_containing(att.argument_id)
+                assert att.extensions == labels_of(att.argument_id)
                 assert att.counter_attackers == tuple(
                     d for d in aaf.attackers_of[att.argument_id] if d in e.defenders
                 )

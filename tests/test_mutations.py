@@ -1,8 +1,10 @@
-"""Mutated agent files end in a result or a documented exit code, never a traceback."""
+"""Mutated agent files end in a result or a documented exit code, never a
+traceback; mutated epistemic stages disagree with the assumption-level oracle."""
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import tempfile
@@ -11,7 +13,10 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from vdarg import frameworks
 from vdarg.cli import main
+from vdarg.errors import SchemaError
+from vdarg.oracle import brute_force_assumption_verdicts, random_epistemic_spec
 
 ELDERCARE = (Path(__file__).resolve().parent.parent / "scenarios" / "eldercare.json").read_text(encoding="utf-8")
 
@@ -83,3 +88,60 @@ def test_mutated_eldercare_ends_in_an_exit_code(data):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = main([command, str(path), *rest])
             assert code in (0, 1, 2), (command, text)
+
+
+def epistemic_outcome(spec, semantics: str):
+    """analyze_epistemic's verdicts with no perceptions, or the message of the error it raises."""
+    try:
+        return [(v.literal, v.status) for v in frameworks.analyze_epistemic(spec, (), semantics).verdicts]
+    except SchemaError as error:
+        return str(error)
+
+
+def oracle_outcome(spec, semantics: str):
+    """The same, from the assumption-level oracle: its verdicts, or the
+    contradiction that the facts and the justified assumptions hold."""
+    verdicts = brute_force_assumption_verdicts(spec, (), semantics)
+    settled = {*spec.facts} - set(spec.assumptions) | {lit for lit, v in verdicts.items() if v == "justified"}
+    atoms = sorted(lit.atom for lit in settled if not lit.positive and lit.negated in settled)
+    if atoms and "undecided" not in verdicts.values():
+        return f"justified perceptions are contradictory for atoms: {atoms}"
+    return list(verdicts.items())
+
+
+def first_caught(semantics: str, seeds=range(500)) -> int | None:
+    """The first seed whose random spec the epistemic stage and the oracle decide differently."""
+    for seed in seeds:
+        spec = random_epistemic_spec(seed)
+        if epistemic_outcome(spec, semantics) != oracle_outcome(spec, semantics):
+            return seed
+    return None
+
+
+def assert_the_oracle_catches(monkeypatch, semantics: str) -> None:
+    seed = first_caught(semantics)
+    assert seed is not None, "the mutant survived the seed scan"
+    monkeypatch.undo()
+    spec = random_epistemic_spec(seed)
+    assert epistemic_outcome(spec, semantics) == oracle_outcome(spec, semantics)
+
+
+def test_the_oracle_catches_preferred_decided_as_grounded(monkeypatch):
+    decide = frameworks.acceptance_status
+    monkeypatch.setattr(
+        frameworks, "acceptance_status",
+        lambda aaf, semantics: decide(aaf, "grounded" if semantics == "preferred" else semantics),
+    )
+    assert_the_oracle_catches(monkeypatch, "preferred")
+
+
+def test_the_oracle_catches_a_dropped_contrary(monkeypatch):
+    # The first assumption's contrary becomes a sentence no argument concludes, so nothing attacks it.
+    attacks = frameworks.compute_attacks
+
+    def without_first_contrary(arguments, framework):
+        contraries = {**framework.contraries, framework.assumptions[0]: "dropped"}
+        return attacks(arguments, dataclasses.replace(framework, contraries=contraries))
+
+    monkeypatch.setattr(frameworks, "compute_attacks", without_first_contrary)
+    assert_the_oracle_catches(monkeypatch, "grounded")

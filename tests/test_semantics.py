@@ -33,7 +33,7 @@ from vdarg import (
 )
 from vdarg.aba import compute_attacks, derive_arguments
 from vdarg.oracle import brute_force_extensions, random_aaf
-from vdarg.semantics import SEMANTICS, _Graph
+from vdarg.semantics import SEMANTICS, Extension, _Graph
 
 
 def placeholder(name: str) -> Argument:
@@ -104,6 +104,7 @@ class TestSmallCases:
         assert report.statuses["A1"].status == "vacuous"
         assert not report.statuses["A1"].in_all
         assert not report.statuses["A1"].in_some
+        assert report.statuses["A1"].extensions == ()
 
     def test_empty_aaf(self):
         aaf = make_aaf(0, set())
@@ -274,12 +275,16 @@ def reference_attackers(aaf: Aaf, relation) -> dict[str, tuple[str, ...]]:
     }
 
 
-def reference_statuses(aaf: Aaf, relation, semantics: str) -> dict[str, ArgumentStatus]:
-    """One status per argument, each from its own attackers: the loop that
-    acceptance_status ran before it decided one status per class."""
-    exts = extensions_for(aaf, semantics)
+def reference_statuses(aaf: Aaf, relation, exts: tuple[Extension, ...]) -> dict[str, ArgumentStatus]:
+    """One status per argument, each from its own attackers and its own
+    membership in exts: the loop that acceptance_status ran before it
+    decided one status per class.  An argument's labels name the extensions
+    that hold it, E<i> for the i-th."""
     if not exts:
-        return {arg_id: ArgumentStatus("vacuous", False, False) for arg_id in aaf.ids}
+        return {arg_id: ArgumentStatus("vacuous", False, False, ()) for arg_id in aaf.ids}
+    labels = {
+        arg_id: tuple(f"E{i}" for i, ext in enumerate(exts, 1) if arg_id in ext.members) for arg_id in aaf.ids
+    }
     member_sets = [ext.members for ext in exts]
     in_all = {arg_id: all(arg_id in s for s in member_sets) for arg_id in aaf.ids}
     in_some = {arg_id: any(arg_id in s for s in member_sets) for arg_id in aaf.ids}
@@ -296,7 +301,7 @@ def reference_statuses(aaf: Aaf, relation, semantics: str) -> dict[str, Argument
             status = "credulously-rejected"
         else:
             status = "undecided"
-        statuses[arg_id] = ArgumentStatus(status, in_all[arg_id], in_some[arg_id])
+        statuses[arg_id] = ArgumentStatus(status, in_all[arg_id], in_some[arg_id], labels[arg_id])
     return statuses
 
 
@@ -319,10 +324,12 @@ def assert_index_matches_the_reference(aaf: Aaf, relation) -> int:
     vacuous = 0
     for semantics in SEMANTICS:
         report = acceptance_status(aaf, semantics)
-        expected = reference_statuses(aaf, relation, semantics)
+        assert report.extensions == extensions_for(aaf, semantics)
+        expected = reference_statuses(aaf, relation, report.extensions)
         assert list(report.statuses) == list(aaf.ids)
         assert report.statuses == expected, semantics
         assert report.vacuous == (not report.extensions)
+        assert [label for label, _ in report.labelled()] == [f"E{i}" for i in range(1, len(report.extensions) + 1)]
         vacuous += report.vacuous
     return vacuous
 
