@@ -4,9 +4,12 @@ Everything here is deliberately naive and shares no code with the production
 solvers: solutions come from enumerating action permutations, extensions from
 testing every argument subset against the textbook definitions, and
 epistemic verdicts from testing every assumption subset, closed by naive
-forward chaining, against the flat-ABA definitions.  The only shared
-ingredient is the *definition* of strict preference (forward cover, no
-backward cover), which the oracle recomputes from raw vectors.
+forward chaining, against the flat-ABA definitions.  The subsets are tested
+all at once, with no pruning and no propagation: subset m is bit m of a
+2^n-bit integer, so each definition is a few AND and OR operations over such
+integers, one per item.  The only shared ingredient is the *definition* of
+strict preference (forward cover, no backward cover), which the oracle
+recomputes from raw vectors.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations
-from operator import and_
+from operator import and_, or_
 
 from .aba import Aaf, Argument, to_aaf
 from .core import (
@@ -83,79 +86,72 @@ def brute_force_solutions(agent: VdaAgent, situation_id: str) -> frozenset[str]:
     return frozenset(firsts)
 
 
+def _subset_tables(n: int) -> tuple[int, list[int]]:
+    """The table of all 2^n subsets of n items, and each item's table of the
+    subsets that hold it.  A table is one 2^n-bit integer whose bit m stands
+    for subset m, the subset of the items i with bit i of m set."""
+    everything, holds = 1, []
+    for i in range(n):  # the subsets with item i are the 2^i after the 2^i without it
+        holds = [h | h << (1 << i) for h in holds] + [everything << (1 << i)]
+        everything |= everything << (1 << i)
+    return everything, holds
+
+
+def _members(table: int) -> list[int]:
+    """The subsets that a table holds, by number, in increasing order."""
+    bits = bin(table)[:1:-1]
+    found = []
+    m = bits.find("1")
+    while m >= 0:
+        found.append(m)
+        m = bits.find("1", m + 1)
+    return found
+
+
+def _extension_subsets(semantics: str, everything: int, holds: list[int], attacks: list[int],
+                       defends: list[int]) -> list[int]:
+    """The extensions, as subset numbers, from each item's tables of the
+    subsets that hold it, attack it and defend it (attack everything that
+    attacks it).  Conflict-free sets attack none of their members, admissible
+    ones defend all of them, complete ones also hold all they defend, stable
+    ones are conflict-free and attack every item they do not hold; preferred
+    ones are the maximal complete sets and the grounded one the least."""
+    conflict_free = everything & ~reduce(or_, map(and_, holds, attacks), 0)
+    if semantics == "stable":
+        return _members(reduce(and_, map(or_, holds, attacks), conflict_free))
+    undefended_member = reduce(or_, (h & ~d for h, d in zip(holds, defends)), 0)
+    defended_outsider = reduce(or_, (d & ~h for h, d in zip(holds, defends)), 0)
+    completes = _members(conflict_free & ~undefended_member & ~defended_outsider)
+    if semantics == "complete":
+        return completes
+    if semantics == "preferred":
+        return [m for m in completes if not any(other != m and other & m == m for other in completes)]
+    if semantics == "grounded":
+        least = [m for m in completes if all(m & other == m for other in completes)]
+        if len(least) != 1:
+            raise AssertionError("grounded oracle: no unique least complete extension")
+        return least
+    raise SchemaError(f"unknown semantics {semantics!r}")
+
+
 def brute_force_extensions(aaf: Aaf, semantics: str) -> set[frozenset[str]]:
-    """Subset enumeration against the textbook definitions of each semantics."""
+    """Every argument subset tested against the textbook definitions of each
+    semantics.  The subsets are the bits of one 2^n-bit integer, and each
+    argument has three such tables: the subsets that hold it, those that
+    attack it (hold one of its attackers) and those that defend it (attack
+    each of its attackers).  Only the subsets that pass are decoded to ids."""
     ids = aaf.ids
     n = len(ids)
     if n > MAX_ORACLE_ARGUMENTS:
         raise ResourceCapError("max_oracle_arguments", MAX_ORACLE_ARGUMENTS)
-    index = {arg_id: i for i, arg_id in enumerate(ids)}
-    attackers = [0] * n
-    victims = [0] * n
-    for src, dst in aaf.attacks:
-        victims[index[src]] |= 1 << index[dst]
-        attackers[index[dst]] |= 1 << index[src]
-    full = (1 << n) - 1
-
-    def members(mask: int) -> frozenset[str]:
-        return frozenset(ids[i] for i in range(n) if mask >> i & 1)
-
-    def conflict_free(mask: int) -> bool:
-        for i in range(n):
-            if mask >> i & 1 and victims[i] & mask:
-                return False
-        return True
-
-    def attacked_by(mask: int) -> int:
-        hit = 0
-        for i in range(n):
-            if mask >> i & 1:
-                hit |= victims[i]
-        return hit
-
-    def admissible(mask: int) -> bool:
-        if not conflict_free(mask):
-            return False
-        defeated = attacked_by(mask)
-        for i in range(n):
-            if mask >> i & 1 and attackers[i] & ~defeated:
-                return False
-        return True
-
-    def complete(mask: int) -> bool:
-        if not admissible(mask):
-            return False
-        defeated = attacked_by(mask)
-        for i in range(n):
-            if not mask >> i & 1 and attackers[i] & ~defeated == 0:
-                return False  # defended but not included
-        return True
-
-    if semantics == "stable":
-        return {
-            members(mask)
-            for mask in range(1 << n)
-            if conflict_free(mask) and (mask | attacked_by(mask)) == full
-        }
-
-    completes = [mask for mask in range(1 << n) if complete(mask)]
-    if semantics == "complete":
-        return {members(mask) for mask in completes}
-    if semantics == "preferred":
-        return {
-            members(m)
-            for m in completes
-            if not any(other != m and other & m == m for other in completes)
-        }
-    if semantics == "grounded":
-        least = [
-            m for m in completes
-            if all(m & other == m for other in completes)
-        ]
-        if len(least) != 1:
-            raise AssertionError("grounded oracle: no unique least complete extension")
-        return {members(least[0])}
-    raise SchemaError(f"unknown semantics {semantics!r}")
+    everything, holds = _subset_tables(n)
+    attackers = [[aaf.index[src] for src in srcs] for srcs in aaf.attackers_of.values()]
+    attacks = [reduce(or_, (holds[j] for j in js), 0) for js in attackers]
+    defends = [reduce(and_, (attacks[j] for j in js), everything) for js in attackers]
+    return {
+        frozenset(ids[i] for i in range(n) if m >> i & 1)
+        for m in _extension_subsets(semantics, everything, holds, attacks, defends)
+    }
 
 
 def brute_force_assumption_verdicts(
@@ -191,32 +187,18 @@ def brute_force_assumption_verdicts(
         return known
 
     subsets = range(1 << n)
-    full = (1 << n) - 1
+    contraries = list(map(spec.contrary_of, assumptions))
     # hit[S]: the assumptions that S attacks.
     hit = []
     for mask in subsets:
         known = cn(mask)
-        hit.append(sum(1 << i for i, a in enumerate(assumptions) if spec.contrary_of(a) in known))
-    attacking = [[t for t in subsets if hit[t] >> i & 1] for i in range(n)]
-
-    def defends(mask: int, i: int) -> bool:
-        return all(hit[mask] & t for t in attacking[i])
-
-    conflict_free = [m for m in subsets if not hit[m] & m]
-    admissible = [m for m in conflict_free if all(defends(m, i) for i in range(n) if m >> i & 1)]
-    complete = [m for m in admissible if all(m >> i & 1 for i in range(n) if defends(m, i))]
-    if semantics == "stable":
-        extensions = [m for m in conflict_free if m | hit[m] == full]
-    elif semantics == "complete":
-        extensions = complete
-    elif semantics == "preferred":
-        extensions = [m for m in admissible if not any(o != m and o & m == m for o in admissible)]
-    elif semantics == "grounded":
-        extensions = [m for m in complete if all(m & o == m for o in complete)]
-        if len(extensions) != 1:
-            raise AssertionError("grounded oracle: no unique least complete set")
-    else:
-        raise SchemaError(f"unknown semantics {semantics!r}")
+        hit.append(sum(1 << i for i, c in enumerate(contraries) if c in known))
+    everything, holds = _subset_tables(n)
+    attacks = [sum(1 << m for m in subsets if hit[m] >> i & 1) for i in range(n)]
+    # against[T]: the subsets that attack some member of T.
+    against = [reduce(or_, (attacks[i] for i in range(n) if t >> i & 1), 0) for t in subsets]
+    defends = [reduce(and_, (against[t] for t in subsets if hit[t] >> i & 1), everything) for i in range(n)]
+    extensions = _extension_subsets(semantics, everything, holds, attacks, defends)
     if not extensions:
         return dict.fromkeys(assumptions, "undecided")
     common = reduce(and_, extensions)

@@ -551,6 +551,17 @@ class TestDeterminismAndCodes:
         assert code == 1
         assert out.strip() == "oracle-check: instances=2 aafs=0 mismatches=8"
 
+    def test_oracle_check_covers_random_aafs(self, run, monkeypatch):
+        # With no agents, only the solver's extensions of random AAFs are
+        # checked; a solver that finds no extension must disagree with the
+        # oracle on every semantics but stable where no stable one exists.
+        import vdarg.cli
+
+        monkeypatch.setattr(vdarg.cli, "extensions_for", lambda aaf, semantics: ())
+        code, out, _ = run("oracle-check", "--instances", "0", "--aafs", "5")
+        assert code == 1
+        assert out.strip() == "oracle-check: instances=0 aafs=5 mismatches=18"
+
     @pytest.mark.parametrize("counts", [("-3", "-1"), ("0", "-1"), ("-1", "0")])
     def test_oracle_check_refuses_negative_counts(self, run, counts):
         code, out, err = run("oracle-check", "--instances", counts[0], "--aafs", counts[1])

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
+from operator import and_
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from vdarg import (
     SEMANTICS,
+    Argument,
     EpistemicRule,
     EpistemicSpec,
     Literal,
@@ -18,6 +21,7 @@ from vdarg import (
     analyze_epistemic,
     analyze_practical,
     solutions,
+    to_aaf,
 )
 from vdarg.oracle import (
     RandomVdaSpec,
@@ -29,6 +33,133 @@ from vdarg.oracle import (
     random_vda,
 )
 from vdarg.semantics import extensions_for
+
+
+def reference_extensions(aaf, semantics):
+    """The per-subset reference for brute_force_extensions: each subset in
+    turn, tested by loops over its arguments."""
+    ids = aaf.ids
+    n = len(ids)
+    index = {arg_id: i for i, arg_id in enumerate(ids)}
+    attackers = [0] * n
+    victims = [0] * n
+    for src, dst in aaf.attacks:
+        victims[index[src]] |= 1 << index[dst]
+        attackers[index[dst]] |= 1 << index[src]
+    full = (1 << n) - 1
+
+    def members(mask):
+        return frozenset(ids[i] for i in range(n) if mask >> i & 1)
+
+    def conflict_free(mask):
+        for i in range(n):
+            if mask >> i & 1 and victims[i] & mask:
+                return False
+        return True
+
+    def attacked_by(mask):
+        hit = 0
+        for i in range(n):
+            if mask >> i & 1:
+                hit |= victims[i]
+        return hit
+
+    def admissible(mask):
+        if not conflict_free(mask):
+            return False
+        defeated = attacked_by(mask)
+        for i in range(n):
+            if mask >> i & 1 and attackers[i] & ~defeated:
+                return False
+        return True
+
+    def complete(mask):
+        if not admissible(mask):
+            return False
+        defeated = attacked_by(mask)
+        for i in range(n):
+            if not mask >> i & 1 and attackers[i] & ~defeated == 0:
+                return False  # defended but not included
+        return True
+
+    if semantics == "stable":
+        return {members(m) for m in range(1 << n) if conflict_free(m) and m | attacked_by(m) == full}
+    completes = [m for m in range(1 << n) if complete(m)]
+    if semantics == "complete":
+        return {members(m) for m in completes}
+    if semantics == "preferred":
+        return {members(m) for m in completes if not any(o != m and o & m == m for o in completes)}
+    least = [m for m in completes if all(m & o == m for o in completes)]
+    if len(least) != 1:
+        raise AssertionError("grounded oracle: no unique least complete extension")
+    return {members(least[0])}
+
+
+def reference_assumption_verdicts(spec, perceptions, semantics):
+    """The per-subset reference for brute_force_assumption_verdicts: each
+    subset's defence tested against every attacking set in turn."""
+    assumptions = list(spec.assumptions)
+    n = len(assumptions)
+    facts = {*spec.facts, *map(Literal, perceptions)} - set(assumptions)
+    rules = [(rule.head, set(rule.body)) for rule in spec.rules]
+
+    def cn(mask):
+        known = facts | {a for i, a in enumerate(assumptions) if mask >> i & 1}
+        grown = True
+        while grown:
+            grown = False
+            for head, body in rules:
+                if head not in known and body <= known:
+                    known.add(head)
+                    grown = True
+        return known
+
+    subsets = range(1 << n)
+    hit = []
+    for mask in subsets:
+        known = cn(mask)
+        hit.append(sum(1 << i for i, a in enumerate(assumptions) if spec.contrary_of(a) in known))
+    attacking = [[t for t in subsets if hit[t] >> i & 1] for i in range(n)]
+
+    def defends(mask, i):
+        return all(hit[mask] & t for t in attacking[i])
+
+    conflict_free = [m for m in subsets if not hit[m] & m]
+    admissible = [m for m in conflict_free if all(defends(m, i) for i in range(n) if m >> i & 1)]
+    complete = [m for m in admissible if all(m >> i & 1 for i in range(n) if defends(m, i))]
+    if semantics == "stable":
+        extensions = [m for m in conflict_free if m | hit[m] == (1 << n) - 1]
+    elif semantics == "complete":
+        extensions = complete
+    elif semantics == "preferred":
+        extensions = [m for m in admissible if not any(o != m and o & m == m for o in admissible)]
+    else:
+        extensions = [m for m in complete if all(m & o == m for o in complete)]
+        if len(extensions) != 1:
+            raise AssertionError("grounded oracle: no unique least complete set")
+    if not extensions:
+        return dict.fromkeys(assumptions, "undecided")
+    common = reduce(and_, extensions)
+    return {
+        a: "justified" if common >> i & 1 else "rejected" if hit[common] >> i & 1 else "undecided"
+        for i, a in enumerate(assumptions)
+    }
+
+
+def outcome(oracle, *args):
+    """What an oracle returns, or the class of the AssertionError it raises."""
+    try:
+        return oracle(*args)
+    except AssertionError as error:
+        return type(error)
+
+
+def aaf_of(n: int, density: float, seed: int):
+    """n placeholder arguments, each ordered pair (self-attacks too) an attack with probability density."""
+    rng = random.Random(seed)
+    ids = [f"A{i + 1}" for i in range(n)]
+    args = tuple(Argument(i, f"s{i}", (), (), (f"s{i}", None, ())) for i in ids)
+    return to_aaf(args, {(a, b) for a in ids for b in ids if rng.random() < density})
 
 
 class TestBruteForceSolutions:
@@ -98,6 +229,25 @@ class TestBruteForceExtensions:
                 solver = {e.members for e in extensions_for(aaf, semantics)}
                 assert solver == brute_force_extensions(aaf, semantics)
 
+    @pytest.mark.parametrize("n", range(17))
+    def test_matches_the_per_subset_reference(self, n):
+        densities = (0.0, 0.05, 0.2, 0.5, 0.8) if n <= 12 else (0.05, 0.8)
+        for seed, density in enumerate(densities):
+            aaf = aaf_of(n, density, 100 * n + seed)
+            for semantics in SEMANTICS:
+                expected = outcome(reference_extensions, aaf, semantics)
+                assert outcome(brute_force_extensions, aaf, semantics) == expected, (n, density, semantics)
+
+    def test_seventeen_arguments_hit_the_cap_before_any_table(self, monkeypatch):
+        import vdarg.oracle as oracle_module
+
+        def no_tables(n):
+            raise AssertionError("a subset table was built")
+
+        monkeypatch.setattr(oracle_module, "_subset_tables", no_tables)
+        with pytest.raises(ResourceCapError):
+            brute_force_extensions(aaf_of(17, 0.2, 0), "grounded")
+
     def test_argument_count_cap(self):
         aaf = random_aaf(7, max_arguments=12)
         import vdarg.oracle as oracle_module
@@ -130,6 +280,13 @@ class TestBruteForceAssumptionVerdicts:
                 with pytest.raises(SchemaError) as raised:
                     analyze_epistemic(spec, perceptions, semantics)
                 assert str(raised.value) == message
+
+    @pytest.mark.parametrize("semantics", SEMANTICS)
+    def test_matches_the_per_subset_reference(self, semantics):
+        for seed in range(3000):
+            spec = random_epistemic_spec(seed)
+            expected = outcome(reference_assumption_verdicts, spec, (), semantics)
+            assert outcome(brute_force_assumption_verdicts, spec, (), semantics) == expected, seed
 
     def test_eldercare_s2(self, eldercare):
         perceptions = sorted(eldercare.situation("S2").positives)
